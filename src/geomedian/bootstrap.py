@@ -9,7 +9,10 @@ statistics is reproduced bit-for-bit.
 
 Replicates are solved in fixed-size batches (a constant independent of the
 worker count) so the arithmetic performed for a given (inputs, seed) never
-depends on scheduling.
+depends on scheduling.  When the dimension exceeds the sample size (p > n)
+the spatial-median replicates iterate in span coordinates over the Gram
+matrix of the residuals, formed once per call; otherwise in R^p.  The choice
+depends only on the input's shape.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -19,15 +22,19 @@ import numpy as np
 
 from .data import Sample, write_csv
 from .errors import DidNotConverge, InvalidLevel, InvalidScenario, TooFewDraws
-from .estimator import SolverConfig, SpatialMedianFit, _data_scale, _weiszfeld_batch
+from .estimator import (
+    SolverConfig,
+    SpatialMedianFit,
+    _data_scale,
+    _SpanCoords,
+    _weiszfeld_batch,
+    _weiszfeld_span_batch,
+)
 from .streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher, substream
 
 # Batch of replicates solved together.  Fixed: batching must not change with
 # the worker count, or results would depend on scheduling.
 _BATCH = 256
-
-RADEMACHER = "rademacher"
-MULTIPLIER_SCHEMES = (RADEMACHER,)
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,10 @@ def bootstrap_spatial_median(
     root_n = np.sqrt(n)
     stats = np.empty(B)
     vectors = np.empty((B, sample.p)) if keep_vectors else None
+    # replicates start at the origin, the center of the sign-symmetric
+    # replicate law, so with p > n they can iterate in the n-dimensional span
+    # of the residuals; the Gram matrix is formed once and shared by batches
+    gram = _SpanCoords(residuals) if sample.p > n else None
 
     def solve_span(span):
         lo, hi = span
@@ -98,11 +109,12 @@ def bootstrap_spatial_median(
         for j in range(hi - lo):
             signs[j] = rademacher(substream(seed, NS_BOOT_MEDIAN, lo + j), n)
         try:
-            # replicates start at the origin, the center of the sign-symmetric
-            # replicate law; each replicate warm-starts only its own iterations
-            beta, _, _, _ = _weiszfeld_batch(
-                residuals, signs, cfg, scale, init=np.zeros((hi - lo, residuals.shape[1]))
-            )
+            if gram is not None:
+                beta, _, _, _ = _weiszfeld_span_batch(gram, signs, cfg, scale)
+            else:
+                beta, _, _, _ = _weiszfeld_batch(
+                    residuals, signs, cfg, scale, init=np.zeros((hi - lo, sample.p))
+                )
         except DidNotConverge as err:
             raise DidNotConverge(
                 err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)

@@ -30,7 +30,7 @@ from .inference import (
     global_test_wpl,
     sci,
 )
-from .simdata import DistributionSpec, ThetaPattern, draw, theta_vector
+from .simdata import T_MODE_COVARIANCE, DistributionSpec, ThetaPattern, draw, theta_vector
 
 
 class _UsageError(Exception):
@@ -228,6 +228,7 @@ def _cmd_generate(args) -> str:
         theta=theta,
         shape=ar1_shape(p, float(obj.get("rho", 0.0))),
         df=obj.get("df"),
+        t_mode=obj.get("t_mode", T_MODE_COVARIANCE),
     )
     sample = draw(spec, n, int(seed))
     if args.out:

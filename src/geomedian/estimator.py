@@ -6,8 +6,16 @@ convergent on the convex objective.  The same core solves many sign-multiplied
 problems at once (one per bootstrap replicate) by carrying a batch dimension;
 distances are evaluated through the inner-product expansion
 ``||z*x - b||^2 = ||x||^2 - 2 z <x, b> + ||b||^2`` (valid because z = +-1) so
-each iteration is two matrix products.  Entries too small for the expansion to
-resolve are recomputed directly before they feed the weights.
+each iteration is a few matrix products.  Entries too small for the expansion
+to resolve are recomputed directly before they feed the weights.
+
+The core runs in one of two representations of the iterates.  Plain points of
+R^p serve every fit.  Solves started at the origin (the bootstrap replicates)
+never leave the row span of the points, so they can instead carry
+coefficients a in R^n with beta = a @ X; the inner products then come from the
+n x n Gram matrix X X^T, and an iteration costs O(n^2) per row instead of
+O(n p).  Both share one update rule; vertex checks, distance repairs and the
+Newton finish always work on points of R^p.
 """
 
 from dataclasses import dataclass
@@ -79,6 +87,69 @@ def spatial_sign(x) -> np.ndarray:
     return v / norm
 
 
+class _PointCoords:
+    """Batch iterates stored as vectors of R^p (the plain representation)."""
+
+    def __init__(self, points):
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
+
+    def project(self, coef):
+        """Inner products <beta_b, x_i> and squared norms ||beta_b||^2."""
+        return coef @ self.points.T, np.einsum("ij,ij->i", coef, coef)
+
+    def combine(self, weights):
+        """sum_i weights[b, i] * x_i for every row b."""
+        return weights @ self.points
+
+    def norm(self, coef):
+        return np.sqrt(np.einsum("ij,ij->i", coef, coef))
+
+    def to_points(self, coef):
+        return coef
+
+    def vertex(self, k, sign):
+        """The multiplied data point sign * x_k."""
+        return sign * self.points[k]
+
+
+class _SpanCoords:
+    """Batch iterates stored as coefficients a_b in R^n, beta_b = a_b @ points.
+
+    An iteration started at the origin only ever forms convex combinations of
+    its iterate and the multiplied points, so it stays in their row span.
+    With the Gram matrix G = points @ points.T every inner product and norm
+    the solver needs is a G-form of n-vectors, and one iteration costs
+    O(m n^2) instead of O(m n p).  Worth it when p > n.  Built once per
+    residual matrix and shared read-only by concurrent solves.
+    """
+
+    def __init__(self, points):
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        self.gram = self.points @ self.points.T
+        self.sq_norms = np.diagonal(self.gram).copy()
+
+    def project(self, coef):
+        """As :meth:`_PointCoords.project`, with beta_b = coef[b] @ points."""
+        prod = coef @ self.gram
+        # G is only positive semi-definite to rounding; clamp the forms
+        return prod, np.maximum(np.einsum("ij,ij->i", coef, prod), 0.0)
+
+    def combine(self, weights):
+        return weights
+
+    def norm(self, coef):
+        return np.sqrt(self.project(coef)[1])
+
+    def to_points(self, coef):
+        return coef @ self.points
+
+    def vertex(self, k, sign):
+        unit = np.zeros(self.points.shape[0])
+        unit[k] = sign
+        return unit
+
+
 def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init=None):
     """Minimize sum_i ||signs[b, i] * points[i] - beta_b|| for every batch row b.
 
@@ -89,25 +160,47 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
     DidNotConverge (with the offending batch row in ``replicate``) if a row
     exhausts ``config.max_iter``.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    coords = _PointCoords(points)
     signs = np.ascontiguousarray(signs, dtype=np.float64)
+    if init is not None:
+        beta = np.array(init, dtype=np.float64)
+    else:
+        beta = np.empty((signs.shape[0], coords.points.shape[1]))
+        for b in range(signs.shape[0]):
+            beta[b] = np.median(signs[b, :, None] * coords.points, axis=0)
+    return _solve_batch(coords, signs, config, scale, beta, collect_objective)
+
+
+def _weiszfeld_span_batch(span, signs, config, scale):
+    """:func:`_weiszfeld_batch` from the origin, iterating in span coordinates.
+
+    ``span`` is a :class:`_SpanCoords` over the points.  Same update rule,
+    rescues and return values; the returned centers are in R^p.
+    """
+    signs = np.ascontiguousarray(signs, dtype=np.float64)
+    beta = np.zeros((signs.shape[0], span.points.shape[0]))
+    return _solve_batch(span, signs, config, scale, beta)
+
+
+def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
+    """The batched Weiszfeld / Vardi-Zhang iteration in either representation.
+
+    ``beta`` holds the starting iterates in ``coords``' representation and is
+    updated in place.  Vertex checks, distance repairs and the Newton polish
+    run on points of R^p, mapped through ``coords.to_points``.
+    """
+    points = coords.points
+    sq_norms = coords.sq_norms
     n, p = points.shape
     m = signs.shape[0]
-    sq_norms = np.einsum("ij,ij->i", points, points)
     eps_anchor = config.anchor_eps * scale
     repair_floor = max(_REPAIR_REL * scale, eps_anchor)
     grad_bound = n * config.grad_tol
 
-    if init is not None:
-        beta = np.array(init, dtype=np.float64)
-    else:
-        beta = np.empty((m, p))
-        for b in range(m):
-            beta[b] = np.median(signs[b, :, None] * points, axis=0)
-
     iterations = np.zeros(m, dtype=np.int64)
     grad_norm = np.zeros(m)
     active = np.ones(m, dtype=bool)
+    polished = {}  # row -> center in R^p, set by the Newton finish
     history: list[float] = []
 
     def vertex_solution(row, k):
@@ -182,9 +275,9 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
             # anything still active this late is likely in the near-vertex
             # crawl; a second-order finish costs less than more sweeps
             for row in np.nonzero(active)[0]:
-                out = newton_polish(row, beta[row])
+                out = newton_polish(row, coords.to_points(beta[row : row + 1])[0])
                 if out is not None:
-                    beta[row], grad_norm[row] = out
+                    polished[row], grad_norm[row] = out
                     iterations[row] = t
                     active[row] = False
         idx = np.nonzero(active)[0]
@@ -192,15 +285,15 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
             break
         za = signs[idx]
         ba = beta[idx]
-        prod = ba @ points.T
-        d2 = sq_norms[None, :] - 2.0 * za * prod + np.einsum("ij,ij->i", ba, ba)[:, None]
+        prod, sq = coords.project(ba)
+        d2 = sq_norms[None, :] - 2.0 * za * prod + sq[:, None]
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2)
 
         low = dist < repair_floor
         if low.any():
             rb, ri = np.nonzero(low)
-            diff = za[rb, ri, None] * points[ri] - ba[rb]
+            diff = za[rb, ri, None] * points[ri] - coords.to_points(ba[rb])
             dist[rb, ri] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if not np.isfinite(dist).all():
             raise DegenerateSample("non-finite distances encountered")
@@ -208,18 +301,20 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
         if t % 4 == 0:
             near = dist.min(axis=1) < 0.02 * scale
             for j in np.nonzero(near)[0]:
-                snapped = vertex_solution(idx[j], int(dist[j].argmin()))
+                k = int(dist[j].argmin())
+                snapped = vertex_solution(idx[j], k)
                 if snapped is not None:
-                    ba[j] = snapped
+                    ba[j] = coords.vertex(k, za[j, k])
+                    sq[j] = sq_norms[k]
                     diff = za[j][:, None] * points - snapped
                     dist[j] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
         anchored = dist <= eps_anchor
         weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=~anchored)
         denom = weights.sum(axis=1)
-        numer = (weights * za) @ points
+        numer = coords.combine(weights * za)
         resid = numer - denom[:, None] * ba
-        resid_norm = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        resid_norm = coords.norm(resid)
         eta = anchored.sum(axis=1).astype(np.float64)
 
         target = np.divide(numer, denom[:, None], out=ba.copy(), where=denom[:, None] > 0)
@@ -235,8 +330,8 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
         if collect_objective:
             history.append(float(dist[0].sum()))
 
-        step = np.sqrt(np.einsum("ij,ij->i", new - ba, new - ba))
-        denom_change = np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", ba, ba)))
+        step = coords.norm(new - ba)
+        denom_change = np.maximum(1.0, np.sqrt(sq))
         grad_ok = (resid_norm <= grad_bound) | (resid_norm <= eta)
         done = (step / denom_change < config.tol) & grad_ok
 
@@ -248,6 +343,9 @@ def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init
     if active.any():
         row = int(np.nonzero(active)[0][0])
         raise DidNotConverge(config.max_iter, grad_norm[row], replicate=row)
+    beta = coords.to_points(beta)
+    for row, center in polished.items():
+        beta[row] = center
     return beta, iterations, grad_norm, history
 
 

@@ -13,11 +13,13 @@ from geomedian import (
     write_stats_csv,
 )
 from geomedian.bootstrap import BootstrapDraws
+from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, TooFewDraws
-from geomedian.estimator import _data_scale, _weiszfeld_batch
-from geomedian.streams import NS_BOOT_MEAN, rademacher, substream
+from geomedian.estimator import _data_scale, _SpanCoords, _weiszfeld_batch, _weiszfeld_span_batch
+from geomedian.simdata import DistributionSpec, draw
+from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher, substream
 
-from _oracles import all_sign_patterns, ks_distance
+from _oracles import all_sign_patterns, is_distance_sum_minimizer, ks_distance
 
 
 def _draws(stats, n_obs=4, target="mean", seed=0):
@@ -118,14 +120,15 @@ def test_conditional_variance_examples():
 
 def test_determinism_across_runs_and_workers():
     rng = np.random.default_rng(6)
-    sample = validate_sample(rng.standard_normal((12, 3)))
-    fit = spatial_median(sample)
-    a = bootstrap_spatial_median(sample, fit, 600, seed=7, workers=1)
-    b = bootstrap_spatial_median(sample, fit, 600, seed=7, workers=3)
-    assert np.array_equal(a.stats, b.stats)
-    c = bootstrap_mean(sample, 600, seed=7, workers=1)
-    d = bootstrap_mean(sample, 600, seed=7, workers=4)
-    assert np.array_equal(c.stats, d.stats)
+    for p in (3, 40):  # p > n solves in span coordinates
+        sample = validate_sample(rng.standard_normal((12, p)))
+        fit = spatial_median(sample)
+        a = bootstrap_spatial_median(sample, fit, 600, seed=7, workers=1)
+        b = bootstrap_spatial_median(sample, fit, 600, seed=7, workers=3)
+        assert np.array_equal(a.stats, b.stats)
+        c = bootstrap_mean(sample, 600, seed=7, workers=1)
+        d = bootstrap_mean(sample, 600, seed=7, workers=4)
+        assert np.array_equal(c.stats, d.stats)
 
 
 def test_translation_leaves_stats_bitwise_unchanged():
@@ -144,8 +147,13 @@ def test_translation_leaves_stats_bitwise_unchanged():
 
 
 def test_sign_flip_closure():
+    for p in (2, 30):  # p > n solves in span coordinates
+        _check_sign_flip_closure(p)
+
+
+def _check_sign_flip_closure(p):
     rng = np.random.default_rng(9)
-    half = rng.standard_normal((5, 2))
+    half = rng.standard_normal((5, p))
     data = np.vstack([half, -half])
     sample = validate_sample(data)
     fit = spatial_median(sample)
@@ -161,9 +169,77 @@ def test_sign_flip_closure():
     residuals = sample.values - fit.theta_hat
     signs = np.stack([rademacher(substream(11, NS_BOOT_MEAN, b_), 10) for b_ in range(8)])
     cfg = SolverConfig()
-    beta_a, _, _, _ = _weiszfeld_batch(residuals, signs, cfg, _data_scale(residuals), init=np.zeros((8, 2)))
-    beta_b, _, _, _ = _weiszfeld_batch(-residuals, -signs, cfg, _data_scale(residuals), init=np.zeros((8, 2)))
+    scale = _data_scale(residuals)
+    beta_a, _, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((8, p)))
+    beta_b, _, _, _ = _weiszfeld_batch(-residuals, -signs, cfg, scale, init=np.zeros((8, p)))
     assert np.array_equal(beta_a, beta_b)
+    if p > residuals.shape[0]:
+        span_a, _, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
+        span_b, _, _, _ = _weiszfeld_span_batch(_SpanCoords(-residuals), -signs, cfg, scale)
+        assert np.array_equal(span_a, span_b)
+
+
+@pytest.mark.parametrize(
+    "model, df, rho",
+    [("gaussian", None, 0.0), ("student_t", 3.0, 0.0), ("gaussian", None, 0.8)],
+    ids=["gaussian", "t3", "ar1"],
+)
+def test_span_solve_matches_point_solve(model, df, rho):
+    n, p, B = 30, 200, 64
+    spec = DistributionSpec(model, np.zeros(p), ar1_shape(p, rho), df=df)
+    sample = draw(spec, n, seed=31)
+    fit = spatial_median(sample)
+    residuals = sample.values - fit.theta_hat
+    signs = np.stack([rademacher(substream(5, NS_BOOT_MEDIAN, b), n) for b in range(B)])
+    cfg = SolverConfig()
+    scale = _data_scale(residuals)
+    span_beta, span_iters, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
+    point_beta, point_iters, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((B, p)))
+    assert np.array_equal(span_iters, point_iters)
+    span_stats = np.sqrt(n) * np.abs(span_beta).max(axis=1)
+    assert_allclose(span_stats, np.sqrt(n) * np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
+    # the bootstrap dispatches this shape to the span solve
+    draws = bootstrap_spatial_median(sample, fit, B, seed=5)
+    assert np.array_equal(draws.stats, span_stats)
+
+
+def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
+    # two zero residuals (distance repair and anchoring at the origin) and
+    # one row eight times over, whose signed copies are often the optimum
+    # (vertex snap); n = 12 < p = 25
+    rng = np.random.default_rng(0)
+    p = 25
+    residuals = np.vstack([np.zeros((2, p)), np.tile(rng.standard_normal(p), (8, 1)), rng.standard_normal((2, p))])
+    n = residuals.shape[0]
+    signs = rng.choice([-1.0, 1.0], size=(64, n))
+
+    calls = {"vertex": 0, "to_points": 0}
+    for name in calls:
+        original = getattr(_SpanCoords, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_SpanCoords, name, spy)
+
+    cfg = SolverConfig()
+    scale = _data_scale(residuals)
+    span_beta, span_iters, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
+    point_beta, point_iters, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((64, p)))
+    assert calls["vertex"] > 0  # vertex snaps
+    assert calls["to_points"] > 1  # repairs, besides the final mapping
+    assert span_iters.max() < 256  # no Newton polish involved
+    assert np.array_equal(span_iters, point_iters)
+    assert_allclose(np.abs(span_beta).max(axis=1), np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
+
+    multiplied = signs[:, :, None] * residuals
+    at_origin = at_vertex = 0
+    for b in range(64):
+        assert is_distance_sum_minimizer(multiplied[b], span_beta[b])
+        at_origin += not span_beta[b].any()
+        at_vertex += any(np.array_equal(span_beta[b], multiplied[b, k]) for k in range(2, 10))
+    assert at_origin > 0 and at_vertex > 0
 
 
 def test_stats_csv_round_trip(tmp_path):

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import geomedian
 from geomedian import read_csv, write_csv
 from geomedian.cli import main
 
@@ -54,6 +59,25 @@ def test_seeded_commands_are_byte_deterministic(tmp_path, capsys):
                      "--seed", "7", "--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sci_bytes_at_p_above_n_ignore_workers_and_blas_threads(tmp_path):
+    # p > n runs the bootstrap in span coordinates; B = 300 spans two batches
+    data = _write_sample(tmp_path, n=20, p=60)
+    env = dict(os.environ, PYTHONPATH=str(Path(geomedian.__file__).parents[1]))
+    outputs = set()
+    for workers in ("1", "4"):
+        for blas_threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "geomedian.cli", "sci", "--in", data, "--level", "0.9",
+                 "--boot", "300", "--seed", "7", "--workers", workers],
+                capture_output=True,
+                env=dict(env, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads),
+                check=True,
+            )
+            outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert len(json.loads(outputs.pop())["intervals"]) == 60
 
 
 def test_stochastic_commands_require_seed(tmp_path, capsys):
@@ -145,6 +169,20 @@ def test_generate_writes_readable_csv(tmp_path, capsys):
     assert main(["generate", "--config", str(config)]) == 0
     stdout = capsys.readouterr().out
     assert len(stdout.strip().splitlines()) == 8
+
+
+def test_generate_honours_t_mode(tmp_path, capsys):
+    base = {"model": "student_t", "df": 5.0, "n": 6, "p": 4, "rho": 0.5, "seed": 11}
+    outputs = {}
+    for mode in (None, "covariance", "scale"):
+        config = tmp_path / f"gen_{mode}.json"
+        config.write_text(json.dumps(base if mode is None else dict(base, t_mode=mode)))
+        assert main(["generate", "--config", str(config)]) == 0
+        outputs[mode] = capsys.readouterr().out
+    assert outputs[None] == outputs["covariance"]
+    cov = np.array([[float(v) for v in line.split(",")] for line in outputs["covariance"].split()])
+    scale = np.array([[float(v) for v in line.split(",")] for line in outputs["scale"].split()])
+    assert_allclose(scale, cov * np.sqrt(5.0 / 3.0), rtol=1e-12)
 
 
 def test_generate_requires_seed(tmp_path, capsys):
