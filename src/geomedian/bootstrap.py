@@ -59,19 +59,57 @@ class BootstrapDraws:
             raise InvalidScenario("vectors must have one row per replicate")
 
 
-def _chunks(B: int):
-    return [(lo, min(lo + _BATCH, B)) for lo in range(0, B, _BATCH)]
+def _parallel_map(func, items, workers: int) -> None:
+    """Call ``func`` on every item, on up to ``workers`` threads.
 
-
-def _run_chunks(worker, B: int, workers: int):
-    spans = _chunks(B)
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            worker(span)
+    Results are discarded; the first error in item order is re-raised.
+    """
+    if workers <= 1 or len(items) <= 1:
+        for item in items:
+            func(item)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(worker, span) for span in spans]:
+        for future in [pool.submit(func, item) for item in items]:
             future.result()
+
+
+def _multiplier_bootstrap(
+    sample: Sample, solve, namespace: int, target: str, B: int, seed: int, workers: int,
+    keep_vectors: bool,
+) -> BootstrapDraws:
+    """Run B sign-multiplier replicates through ``solve(signs) -> centers``.
+
+    ``solve`` maps a batch of sign rows (one row of n signs per replicate) to
+    the replicate centers.  Replicate b draws its signs from substream
+    (seed, namespace, b) and records sqrt(n) * max|center_b|.
+    """
+    if B < 1:
+        raise InvalidScenario("B must be >= 1")
+    n = sample.n
+    root_n = np.sqrt(n)
+    stats = np.empty(B)
+    vectors = np.empty((B, sample.p)) if keep_vectors else None
+
+    def run_batch(span):
+        lo, hi = span
+        signs = np.empty((hi - lo, n))
+        for j in range(hi - lo):
+            signs[j] = rademacher(substream(seed, namespace, lo + j), n)
+        try:
+            centers = solve(signs)
+        except DidNotConverge as err:
+            raise DidNotConverge(
+                err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)
+            ) from err
+        stats[lo:hi] = root_n * np.abs(centers).max(axis=1)
+        if vectors is not None:
+            vectors[lo:hi] = centers
+
+    _parallel_map(run_batch, [(lo, min(lo + _BATCH, B)) for lo in range(0, B, _BATCH)], workers)
+    stats.flags.writeable = False
+    if vectors is not None:
+        vectors.flags.writeable = False
+    return BootstrapDraws(stats=stats, B=B, seed=seed, target=target, n_obs=n, vectors=vectors)
 
 
 def bootstrap_spatial_median(
@@ -89,46 +127,22 @@ def bootstrap_spatial_median(
     random signs Z and records sqrt(n) * max|beta|.  A replicate that fails to
     converge raises DidNotConverge carrying its index.
     """
-    if B < 1:
-        raise InvalidScenario("B must be >= 1")
     cfg = config or SolverConfig()
     residuals = sample.values - fit.theta_hat
-    n = sample.n
     scale = _data_scale(residuals)
-    root_n = np.sqrt(n)
-    stats = np.empty(B)
-    vectors = np.empty((B, sample.p)) if keep_vectors else None
     # replicates start at the origin, the center of the sign-symmetric
     # replicate law, so with p > n they can iterate in the n-dimensional span
     # of the residuals; the Gram matrix is formed once and shared by batches
-    gram = _SpanCoords(residuals) if sample.p > n else None
+    gram = _SpanCoords(residuals) if sample.p > sample.n else None
 
-    def solve_span(span):
-        lo, hi = span
-        signs = np.empty((hi - lo, n))
-        for j in range(hi - lo):
-            signs[j] = rademacher(substream(seed, NS_BOOT_MEDIAN, lo + j), n)
-        try:
-            if gram is not None:
-                beta, _, _, _ = _weiszfeld_span_batch(gram, signs, cfg, scale)
-            else:
-                beta, _, _, _ = _weiszfeld_batch(
-                    residuals, signs, cfg, scale, init=np.zeros((hi - lo, sample.p))
-                )
-        except DidNotConverge as err:
-            raise DidNotConverge(
-                err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)
-            ) from err
-        stats[lo:hi] = root_n * np.abs(beta).max(axis=1)
-        if vectors is not None:
-            vectors[lo:hi] = beta
+    def solve(signs):
+        if gram is not None:
+            return _weiszfeld_span_batch(gram, signs, cfg, scale)[0]
+        init = np.zeros((signs.shape[0], sample.p))
+        return _weiszfeld_batch(residuals, signs, cfg, scale, init=init)[0]
 
-    _run_chunks(solve_span, B, workers)
-    stats.flags.writeable = False
-    if vectors is not None:
-        vectors.flags.writeable = False
-    return BootstrapDraws(
-        stats=stats, B=B, seed=seed, target="spatial_median", n_obs=n, vectors=vectors
+    return _multiplier_bootstrap(
+        sample, solve, NS_BOOT_MEDIAN, "spatial_median", B, seed, workers, keep_vectors
     )
 
 
@@ -139,29 +153,12 @@ def bootstrap_mean(
 
     Replicate b records sqrt(n) * max|mean_i Z_i (X_i - xbar)|.
     """
-    if B < 1:
-        raise InvalidScenario("B must be >= 1")
     centered = sample.values - sample.values.mean(axis=0)
-    n = sample.n
-    root_n = np.sqrt(n)
-    stats = np.empty(B)
-    vectors = np.empty((B, sample.p)) if keep_vectors else None
 
-    def solve_span(span):
-        lo, hi = span
-        signs = np.empty((hi - lo, n))
-        for j in range(hi - lo):
-            signs[j] = rademacher(substream(seed, NS_BOOT_MEAN, lo + j), n)
-        averages = (signs @ centered) / n
-        stats[lo:hi] = root_n * np.abs(averages).max(axis=1)
-        if vectors is not None:
-            vectors[lo:hi] = averages
+    def solve(signs):
+        return (signs @ centered) / sample.n
 
-    _run_chunks(solve_span, B, workers)
-    stats.flags.writeable = False
-    if vectors is not None:
-        vectors.flags.writeable = False
-    return BootstrapDraws(stats=stats, B=B, seed=seed, target="mean", n_obs=n, vectors=vectors)
+    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, "mean", B, seed, workers, keep_vectors)
 
 
 def quantile(draws: BootstrapDraws, level: float) -> float:

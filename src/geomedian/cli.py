@@ -214,15 +214,8 @@ def _cmd_generate(args) -> str:
     seed = args.seed if args.seed is not None else obj.get("seed")
     if seed is None:
         raise _UsageError("generate is stochastic: provide --seed or a 'seed' field in the config")
-    theta_obj = obj.get("theta", {"kind": "zero"})
-    pattern = ThetaPattern(
-        kind=theta_obj.get("kind", "zero"),
-        kappa=float(theta_obj.get("kappa", 0.0)),
-        c0=float(theta_obj.get("c0", 0.5)),
-        scale=float(theta_obj.get("scale", 2.0)),
-    )
     n, p = int(obj["n"]), int(obj["p"])
-    theta = theta_vector(pattern, n=n, p=p)
+    theta = theta_vector(ThetaPattern.from_json(obj.get("theta", {})), n=n, p=p)
     spec = DistributionSpec(
         model=obj.get("model", "gaussian"),
         theta=theta,
@@ -247,8 +240,7 @@ def _cmd_simulate(args) -> str:
     if not args.timings:
         for row in table.rows:
             row["runtime_seconds"] = None
-    fmt = "json" if args.format == "json" else args.format
-    return emit_report(table, fmt)
+    return emit_report(table, args.format)
 
 
 _COMMANDS = {

@@ -17,17 +17,28 @@ Defaults are desk scale (500 replications, 200 bootstrap replicates); pass
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .bootstrap import bootstrap_mean, bootstrap_spatial_median, quantile
+from .bootstrap import _parallel_map
 from .data import ar1_shape
 from .errors import GeomedianError, InvalidScenario
 from .estimator import SolverConfig, spatial_median
-from .inference import bh_fdr, global_test_cq, global_test_wpl, marginal_stats
+from .inference import (
+    METHOD_CQ,
+    METHOD_MEAN,
+    METHOD_MEDIAN,
+    METHOD_WPL,
+    _calibrate,
+    _sci_result,
+    _test_result,
+    _two_sided_p,
+    bh_fdr,
+    global_test_cq,
+    global_test_wpl,
+    marginal_stats,
+)
 from .simdata import (
     MODEL_GAUSSIAN,
     MODELS,
@@ -68,6 +79,11 @@ COLUMNS = (
 )
 
 _UNIT = ("coverage", "size", "power", "fdr", "fdr_power")
+
+# Bootstrap-calibrated interval methods, in report order.
+_SCI_METHODS = (METHOD_MEDIAN, METHOD_MEAN)
+# Global tests calibrated by a normal cutoff instead of a bootstrap.
+_NORMAL_TESTS = {METHOD_WPL: global_test_wpl, METHOD_CQ: global_test_cq}
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,18 @@ def _bernoulli_stderr(rate: float, m: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / m))
 
 
+def _row_key(spec: ScenarioSpec, n: int | None = None, p: int | None = None) -> dict:
+    """The key columns every report row starts with."""
+    return {
+        "scenario": spec.label(),
+        "experiment": spec.experiment,
+        "model": spec.model,
+        "rho": spec.rho,
+        "n": spec.n if n is None else n,
+        "p": spec.p if p is None else p,
+    }
+
+
 def _distribution(spec: ScenarioSpec, theta: np.ndarray, p: int | None = None) -> DistributionSpec:
     shape = ar1_shape(p or spec.p, spec.rho)
     return DistributionSpec(model=spec.model, theta=theta, shape=shape, df=spec.df, t_mode=spec.t_mode)
@@ -185,13 +213,7 @@ def _run_replications(spec: ScenarioSpec, reps: int, worker, workers: int | None
                 f"scenario {spec.label()!r} replication {r}: {err}"
             ) from err
 
-    if count <= 1:
-        for r in range(reps):
-            guarded(r)
-        return
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        for future in [pool.submit(guarded, r) for r in range(reps)]:
-            future.result()
+    _parallel_map(guarded, range(reps), count)
 
 
 def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime: bool = False) -> MetricsTable:
@@ -213,15 +235,11 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     def one(r):
         rep_seed = child_seed(spec.seed, NS_HARNESS, r)
         sample = draw(dist, spec.n, rep_seed)
-        fit = spatial_median(sample, cfg)
-        draws_med = bootstrap_spatial_median(sample, fit, spec.B, rep_seed, cfg)
-        center_mean = sample.values.mean(axis=0)
-        draws_mean = bootstrap_mean(sample, spec.B, rep_seed)
-        err_med = np.abs(fit.theta_hat - theta).max()
-        err_mean = np.abs(center_mean - theta).max()
-        for li, level in enumerate(spec.levels):
-            for mi, (draws, err) in enumerate(((draws_med, err_med), (draws_mean, err_mean))):
-                q = quantile(draws, level)
+        for mi, method in enumerate(_SCI_METHODS):
+            center, draws = _calibrate(sample, method, spec.B, rep_seed, cfg)
+            err = np.abs(center - theta).max()
+            for li, level in enumerate(spec.levels):
+                q = _sci_result(center, draws, level, method).q_boot
                 covered[r, li, mi] = err <= q / root_n
                 widths[r, li, mi] = 2.0 * q / root_n
 
@@ -229,15 +247,10 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     runtime = time.perf_counter() - start if include_runtime else None
     table = MetricsTable()
     for li, level in enumerate(spec.levels):
-        for mi, method in enumerate(("median", "mean")):
+        for mi, method in enumerate(_SCI_METHODS):
             rate = float(covered[:, li, mi].mean())
             table.append(
-                scenario=spec.label(),
-                experiment=spec.experiment,
-                model=spec.model,
-                rho=spec.rho,
-                n=spec.n,
-                p=spec.p,
+                **_row_key(spec),
                 level=level,
                 method=method,
                 coverage=rate,
@@ -268,13 +281,12 @@ def run_size_power(
     grid = tuple(kappa_grid if kappa_grid is not None else (spec.kappa_grid or (0.0,)))
     c0 = spec.c0 if c0 is None else c0
     methods = tuple(methods if methods is not None else spec.methods)
-    unknown = set(methods) - {"median", "mean", "wpl", "cq"}
+    unknown = set(methods) - {METHOD_MEDIAN, METHOD_MEAN, *_NORMAL_TESTS}
     if unknown:
         raise InvalidScenario(f"unknown test methods {sorted(unknown)}")
     cfg = SolverConfig()
     theta0 = np.zeros(spec.p)
     m, n_levels = spec.replications, len(spec.levels)
-    root_n = np.sqrt(spec.n)
     reject = {meth: np.zeros((len(grid), m, n_levels), dtype=bool) for meth in methods}
 
     for ki, kappa in enumerate(grid):
@@ -285,23 +297,13 @@ def run_size_power(
         def one(r, ki=ki, dist=dist):
             rep_seed = child_seed(spec.seed, NS_HARNESS, ki, r)
             sample = draw(dist, spec.n, rep_seed)
-            if "median" in methods:
-                fit = spatial_median(sample, cfg)
-                stat = root_n * np.abs(fit.theta_hat - theta0).max()
-                draws = bootstrap_spatial_median(sample, fit, spec.B, rep_seed, cfg)
-                for li, tau in enumerate(spec.levels):
-                    reject["median"][ki, r, li] = stat > quantile(draws, 1.0 - tau)
-            if "mean" in methods:
-                stat = root_n * np.abs(sample.values.mean(axis=0) - theta0).max()
-                draws = bootstrap_mean(sample, spec.B, rep_seed)
-                for li, tau in enumerate(spec.levels):
-                    reject["mean"][ki, r, li] = stat > quantile(draws, 1.0 - tau)
-            if "wpl" in methods:
-                for li, tau in enumerate(spec.levels):
-                    reject["wpl"][ki, r, li] = global_test_wpl(sample, theta0, tau).reject
-            if "cq" in methods:
-                for li, tau in enumerate(spec.levels):
-                    reject["cq"][ki, r, li] = global_test_cq(sample, theta0, tau).reject
+            for meth in methods:
+                if meth in _NORMAL_TESTS:
+                    verdicts = [_NORMAL_TESTS[meth](sample, theta0, tau) for tau in spec.levels]
+                else:
+                    center, draws = _calibrate(sample, meth, spec.B, rep_seed, cfg)
+                    verdicts = [_test_result(center, draws, theta0, tau, meth) for tau in spec.levels]
+                reject[meth][ki, r] = [v.reject for v in verdicts]
 
         _run_replications(spec, m, one, workers)
 
@@ -312,12 +314,7 @@ def run_size_power(
             for meth in methods:
                 rate = float(reject[meth][ki, :, li].mean())
                 table.append(
-                    scenario=spec.label(),
-                    experiment=spec.experiment,
-                    model=spec.model,
-                    rho=spec.rho,
-                    n=spec.n,
-                    p=spec.p,
+                    **_row_key(spec),
                     level=tau,
                     method=meth,
                     kappa=kappa,
@@ -362,12 +359,10 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
         rep_seed = child_seed(spec.seed, NS_HARNESS, r)
         sample = draw(dist, spec.n, rep_seed)
         fit = spatial_median(sample, cfg)
-        t_med = marginal_stats(sample, fit, theta0)
-        pv_med = 2.0 * ndtr(-np.abs(t_med))
+        pv_med = _two_sided_p(marginal_stats(sample, fit, theta0))
         xbar = sample.values.mean(axis=0)
         sd = sample.values.std(axis=0, ddof=1)
-        t_mean = root_n * xbar / sd
-        pv_mean = 2.0 * ndtr(-np.abs(t_mean))
+        pv_mean = _two_sided_p(root_n * xbar / sd)
         for li, alpha in enumerate(spec.levels):
             fdp[r, li, 0], tpp[r, li, 0] = screen(pv_med, alpha)
             fdp[r, li, 1], tpp[r, li, 1] = screen(pv_mean, alpha)
@@ -379,12 +374,7 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
         for mi, method in enumerate(("median", "mean")):
             mean_tpp = float(np.nanmean(tpp[:, li, mi])) if n_signal else None
             table.append(
-                scenario=spec.label(),
-                experiment=spec.experiment,
-                model=spec.model,
-                rho=spec.rho,
-                n=spec.n,
-                p=spec.p,
+                **_row_key(spec),
                 level=alpha,
                 method=method,
                 fdr=float(fdp[:, li, mi].mean()),
@@ -449,12 +439,7 @@ def run_are(
 
             _run_replications(spec, m, one, workers)
             table.append(
-                scenario=spec.label(),
-                experiment=spec.experiment,
-                model=spec.model,
-                rho=spec.rho,
-                n=n,
-                p=p,
+                **_row_key(spec, n=n, p=p),
                 method="mc_ratio",
                 are_ratio=float(mean_stat.var(ddof=1) / med_stat.var(ddof=1)),
                 mc_stderr=_jackknife_ratio_stderr(mean_stat, med_stat),
@@ -482,13 +467,6 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
         raise InvalidScenario("scenario JSON needs an 'experiment' field")
     if "seed" not in obj:
         raise InvalidScenario("scenario JSON needs a 'seed' field (no silent entropy)")
-    theta_obj = obj.get("theta", {"kind": "zero"})
-    pattern = ThetaPattern(
-        kind=theta_obj.get("kind", "zero"),
-        kappa=float(theta_obj.get("kappa", 0.0)),
-        c0=float(theta_obj.get("c0", 0.5)),
-        scale=float(theta_obj.get("scale", 2.0)),
-    )
     known = {
         "experiment", "model", "rho", "df", "t_mode", "n", "p", "replications",
         "B", "levels", "seed", "name", "kappa_grid", "c0", "methods", "p_grid",
@@ -501,4 +479,4 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
     for tup in ("levels", "kappa_grid", "methods", "p_grid", "n_grid"):
         if kwargs.get(tup) is not None:
             kwargs[tup] = tuple(kwargs[tup])
-    return ScenarioSpec(theta=pattern, **kwargs)
+    return ScenarioSpec(theta=ThetaPattern.from_json(obj.get("theta", {})), **kwargs)

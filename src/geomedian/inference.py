@@ -7,10 +7,11 @@ quantile, and that a simultaneous confidence set at level ``level`` uses the
 when both consume the same replicate draws.
 """
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
 
 from .bootstrap import (
     BootstrapDraws,
@@ -36,6 +37,8 @@ METHOD_MEDIAN = "median"
 METHOD_MEAN = "mean"
 METHOD_WPL = "wpl"
 METHOD_CQ = "cq"
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,50 @@ class AreReport:
         }
 
 
+def _calibrate(
+    sample: Sample,
+    method: str,
+    B: int,
+    seed: int,
+    config: SolverConfig | None = None,
+    workers: int = 1,
+) -> tuple[np.ndarray, BootstrapDraws]:
+    """Fit the method's center and draw its matching multiplier bootstrap.
+
+    The one fit-and-draws step behind the intervals, the max-norm tests and
+    the Monte Carlo harness.
+    """
+    if sample.n < 2:
+        raise InvalidScenario("need n >= 2 observations for bootstrap calibration")
+    if method == METHOD_MEDIAN:
+        fit = spatial_median(sample, config)
+        return fit.theta_hat, bootstrap_spatial_median(sample, fit, B, seed, config, workers)
+    if method == METHOD_MEAN:
+        return sample.values.mean(axis=0), bootstrap_mean(sample, B, seed, workers)
+    raise InvalidScenario(f"unknown bootstrap method {method!r}")
+
+
+def _sci_result(center: np.ndarray, draws: BootstrapDraws, level: float, method: str) -> SciResult:
+    q = quantile(draws, level)
+    half = q / np.sqrt(draws.n_obs)
+    return SciResult(lower=center - half, upper=center + half, level=level, q_boot=q, method=method)
+
+
+def _test_result(
+    center: np.ndarray, draws: BootstrapDraws, theta0: np.ndarray, level: float, method: str
+) -> GlobalTestResult:
+    statistic = float(np.sqrt(draws.n_obs) * np.abs(center - theta0).max())
+    critical = quantile(draws, 1.0 - level)
+    p_value = float((1 + int((draws.stats >= statistic).sum())) / (draws.B + 1))
+    return GlobalTestResult(
+        statistic=statistic,
+        critical_value=critical,
+        p_value=p_value,
+        reject=statistic > critical,
+        method=method,
+    )
+
+
 def sci(
     sample: Sample,
     level: float,
@@ -128,24 +175,8 @@ def sci(
     """
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")
-    if sample.n < 2:
-        raise InvalidScenario("need n >= 2 observations for interval calibration")
-    if method == METHOD_MEDIAN:
-        fit = spatial_median(sample, config)
-        center = fit.theta_hat
-        draws = bootstrap_spatial_median(sample, fit, B, seed, config, workers)
-    elif method == METHOD_MEAN:
-        center = sample.values.mean(axis=0)
-        draws = bootstrap_mean(sample, B, seed, workers)
-    else:
-        raise InvalidScenario(f"unknown SCI method {method!r}")
-    q = quantile(draws, level)
-    half = q / np.sqrt(sample.n)
-    return SciResult(lower=center - half, upper=center + half, level=level, q_boot=q, method=method)
-
-
-def _bootstrap_p_value(draws: BootstrapDraws, statistic: float) -> float:
-    return float((1 + int((draws.stats >= statistic).sum())) / (draws.B + 1))
+    center, draws = _calibrate(sample, method, B, seed, config, workers)
+    return _sci_result(center, draws, level, method)
 
 
 def global_test_median(
@@ -163,17 +194,8 @@ def global_test_median(
     ``1 - level`` quantile of the bootstrap replicates.
     """
     theta0 = _check_theta0(theta0, sample.p)
-    fit = spatial_median(sample, config)
-    statistic = float(np.sqrt(sample.n) * np.abs(fit.theta_hat - theta0).max())
-    draws = bootstrap_spatial_median(sample, fit, B, seed, config, workers)
-    critical = quantile(draws, 1.0 - level)
-    return GlobalTestResult(
-        statistic=statistic,
-        critical_value=critical,
-        p_value=_bootstrap_p_value(draws, statistic),
-        reject=statistic > critical,
-        method=METHOD_MEDIAN,
-    )
+    center, draws = _calibrate(sample, METHOD_MEDIAN, B, seed, config, workers)
+    return _test_result(center, draws, theta0, level, METHOD_MEDIAN)
 
 
 def global_test_mean(
@@ -186,16 +208,8 @@ def global_test_mean(
 ) -> GlobalTestResult:
     """Max-norm test of a hypothesised center, sample-mean version."""
     theta0 = _check_theta0(theta0, sample.p)
-    statistic = float(np.sqrt(sample.n) * np.abs(sample.values.mean(axis=0) - theta0).max())
-    draws = bootstrap_mean(sample, B, seed, workers)
-    critical = quantile(draws, 1.0 - level)
-    return GlobalTestResult(
-        statistic=statistic,
-        critical_value=critical,
-        p_value=_bootstrap_p_value(draws, statistic),
-        reject=statistic > critical,
-        method=METHOD_MEAN,
-    )
+    center, draws = _calibrate(sample, METHOD_MEAN, B, seed, workers=workers)
+    return _test_result(center, draws, theta0, level, METHOD_MEAN)
 
 
 def global_test_wpl(sample: Sample, theta0, level: float = 0.05) -> GlobalTestResult:
@@ -249,10 +263,9 @@ def global_test_cq(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRes
 def _normal_calibrated(statistic, sd, level, method) -> GlobalTestResult:
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level must lie in (0, 1), got {level}")
-    z = float(ndtri(1.0 - level))
-    critical = z * sd
+    critical = NormalDist().inv_cdf(1.0 - level) * sd
     if sd > 0:
-        p_value = float(ndtr(-statistic / sd))
+        p_value = float(_upper_tail(statistic / sd))
     else:
         p_value = 1.0 if statistic <= 0 else 0.0
     return GlobalTestResult(
@@ -262,6 +275,16 @@ def _normal_calibrated(statistic, sd, level, method) -> GlobalTestResult:
         reject=statistic > critical,
         method=method,
     )
+
+
+def _upper_tail(z):
+    """P(N(0, 1) > z), elementwise, from the complementary error function."""
+    return 0.5 * np.asarray(_erfc(np.divide(z, math.sqrt(2.0))), dtype=np.float64)
+
+
+def _two_sided_p(t_stats) -> np.ndarray:
+    """Two-sided normal p-values 2 P(N(0, 1) > |t|)."""
+    return 2.0 * _upper_tail(np.abs(t_stats))
 
 
 def _check_theta0(theta0, p) -> np.ndarray:
@@ -323,7 +346,7 @@ def fdr_screen(
     """
     fit = spatial_median(sample, config)
     t_stats = marginal_stats(sample, fit, theta0)
-    p_values = 2.0 * ndtr(-np.abs(t_stats))
+    p_values = _two_sided_p(t_stats)
     selection = bh_fdr(p_values, alpha)
     return FdrResult(
         t_stats=t_stats,
@@ -347,13 +370,10 @@ def are_bootstrap(
     Both multiplier bootstraps run on the same sample with independent
     substream families derived from the one seed.
     """
-    if sample.n < 2:
-        raise InvalidScenario("need n >= 2 observations")
     if B < 2:
         raise TooFewDraws("need B >= 2 replicates")
-    fit = spatial_median(sample, config)
-    draws_median = bootstrap_spatial_median(sample, fit, B, seed, config, workers)
-    draws_mean = bootstrap_mean(sample, B, seed, workers)
+    _, draws_median = _calibrate(sample, METHOD_MEDIAN, B, seed, config, workers)
+    _, draws_mean = _calibrate(sample, METHOD_MEAN, B, seed, workers=workers)
     var_median = conditional_variance(draws_median)
     var_mean = conditional_variance(draws_mean)
     if var_median == 0.0:
@@ -374,13 +394,13 @@ def are_analytic(model: str, p: int, df: float | None = None) -> float:
     if p < 2:
         raise InvalidScenario("p must be >= 2")
     half = p / 2.0
-    log_core = np.log(p) + 2.0 * (gammaln(half - 0.5) - gammaln(half)) - np.log(2.0)
+    log_core = np.log(p) + 2.0 * (math.lgamma(half - 0.5) - math.lgamma(half)) - np.log(2.0)
     if model == "gaussian":
         return float(np.exp(log_core))
     if model == "student_t":
         if df is None or df <= 2:
             raise InvalidDf(f"degrees of freedom must exceed 2, got {df}")
         v = df / 2.0
-        log_t = np.log(2.0) - np.log(df - 2.0) + 2.0 * (gammaln(v + 0.5) - gammaln(v))
+        log_t = np.log(2.0) - np.log(df - 2.0) + 2.0 * (math.lgamma(v + 0.5) - math.lgamma(v))
         return float(np.exp(log_core + log_t))
     raise InvalidScenario(f"unknown model {model!r}")

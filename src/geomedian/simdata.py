@@ -117,6 +117,12 @@ class ThetaPattern:
     c0: float = 0.5
     scale: float = 2.0
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "ThetaPattern":
+        """Build a pattern from its JSON object form; absent fields take the defaults."""
+        knobs = {key: float(obj[key]) for key in ("kappa", "c0", "scale") if key in obj}
+        return cls(kind=obj.get("kind", PATTERN_ZERO), **knobs)
+
 
 def theta_vector(pattern: ThetaPattern, p: int, n: int) -> np.ndarray:
     """Materialize ``pattern`` as an exact length-p vector."""

@@ -80,6 +80,17 @@ def test_sci_bytes_at_p_above_n_ignore_workers_and_blas_threads(tmp_path):
     assert len(json.loads(outputs.pop())["intervals"]) == 60
 
 
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(geomedian.__file__).parents[1]))
+    probe = (
+        "import sys, geomedian.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_stochastic_commands_require_seed(tmp_path, capsys):
     data = _write_sample(tmp_path)
     assert main(["sci", "--in", data]) == 1

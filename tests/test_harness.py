@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from geomedian import (
+    DistributionSpec,
     MetricsTable,
     ScenarioSpec,
     ThetaPattern,
+    ar1_shape,
+    child_seed,
+    draw,
     emit_report,
+    global_test_mean,
+    global_test_median,
     run_are,
     run_coverage,
     run_fdr,
     run_size_power,
     run_scenario,
     scenario_from_json,
+    sci,
+    theta_vector,
 )
 from geomedian.errors import InvalidScenario
 from geomedian.harness import COLUMNS
+from geomedian.streams import NS_HARNESS
 
 
 def _coverage_spec(**kw):
@@ -59,6 +68,36 @@ def test_worker_count_does_not_change_results():
         replications=6, levels=(0.1,), seed=2,
     )
     assert run_fdr(spec, workers=1).rows == run_fdr(spec, workers=3).rows
+
+
+def test_harness_agrees_with_the_inference_api():
+    # one replication per row, so each row is that replication's verdict;
+    # rebuild its sample and ask the public API for the same numbers
+    seed, n, p, B, level = 21, 18, 5, 80, 0.9
+    spec = _coverage_spec(model="student_t", df=3.0, n=n, p=p, theta=ThetaPattern("sparse3"),
+                          replications=1, B=B, levels=(level,), seed=seed)
+    theta = theta_vector(spec.theta, p, n)
+    dist = DistributionSpec("student_t", theta, ar1_shape(p, 0.0), df=3.0, t_mode=spec.t_mode)
+    rep_seed = child_seed(seed, NS_HARNESS, 0)
+    sample = draw(dist, n, rep_seed)
+    for row in run_coverage(spec).rows:
+        band = sci(sample, level, B, rep_seed, method=row["method"])
+        assert row["median_length"] == 2.0 * band.q_boot / np.sqrt(n)
+        inside = bool(((band.lower <= theta) & (theta <= band.upper)).all())
+        assert row["coverage"] == float(inside)
+
+    spec = ScenarioSpec(experiment="size_power", n=n, p=p, replications=1, B=B,
+                        levels=(0.05, 0.2), seed=seed, methods=("median", "mean"))
+    grid = (0.0, 1.0, 1.5)  # rejections at these strengths differ by method and level
+    rows = run_size_power(spec, kappa_grid=grid, c0=1.0).rows
+    tests = {"median": global_test_median, "mean": global_test_mean}
+    for ki, kappa in enumerate(grid):
+        theta = theta_vector(ThetaPattern("log_sparse", kappa=kappa, c0=1.0), p, n)
+        rep_seed = child_seed(seed, NS_HARNESS, ki, 0)
+        sample = draw(DistributionSpec("gaussian", theta, ar1_shape(p, 0.0)), n, rep_seed)
+        for row in (r for r in rows if r["kappa"] == kappa):
+            verdict = tests[row["method"]](sample, np.zeros(p), row["level"], B, rep_seed)
+            assert (row["size"] if kappa == 0.0 else row["power"]) == float(verdict.reject)
 
 
 def test_bernoulli_stderr_formula():

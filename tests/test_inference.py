@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from numpy.testing import assert_allclose, assert_array_equal
 
 from geomedian import (
     DistributionSpec,
@@ -31,10 +30,12 @@ from geomedian.errors import (
     InvalidAlpha,
     InvalidDf,
     InvalidLevel,
+    InvalidScenario,
     ZeroScale,
     ZeroVariance,
 )
 from geomedian.estimator import _data_scale, _weiszfeld_batch
+from geomedian.inference import _two_sided_p
 
 from _oracles import all_sign_patterns
 
@@ -109,6 +110,15 @@ def test_rejection_monotone_in_distance():
         for s in np.linspace(0.0, 2.0, 9)
     ]
     assert sorted(rejections) == rejections
+
+
+@pytest.mark.parametrize("test", [global_test_median, global_test_mean])
+def test_global_test_needs_two_observations(test):
+    # a single observation gives the multiplier bootstrap nothing to
+    # calibrate against, exactly as for the intervals
+    sample = validate_sample([[1.0, -2.0, 0.5]])
+    with pytest.raises(InvalidScenario):
+        test(sample, np.zeros(3), 0.05, 100, seed=1)
 
 
 def test_global_test_mean_constant_sample():
@@ -276,11 +286,22 @@ def test_fdr_screen_null_control_smoke():
 
 
 def test_p_values_decrease_in_statistic_magnitude():
-    t = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 4.0])
-    pv = 2.0 * ndtr(-np.abs(t))
-    assert ((pv >= 0) & (pv <= 1)).all()
-    order = np.argsort(np.abs(t))
+    z975 = 1.959963984540054
+    t = np.array([-40.0, -3.0, -z975, -1.0, 0.0, 0.5, z975, 2.0, 4.0, 9.0, 40.0])
+    pv = _two_sided_p(t)
+    assert (np.isfinite(pv) & (pv >= 0) & (pv <= 1)).all()
+    order = np.argsort(np.abs(t), kind="stable")
     assert (np.diff(pv[order]) <= 0).all()
+    assert pv[4] == 1.0
+    assert abs(pv[2] - 0.05) <= 1e-15 and abs(pv[6] - 0.05) <= 1e-15
+    # the screen reports exactly these p-values for its statistics
+    rng = np.random.default_rng(22)
+    result = fdr_screen(validate_sample(rng.standard_normal((30, 5)) + 0.4), np.zeros(5), 0.1)
+    assert_array_equal(result.p_values, _two_sided_p(result.t_stats))
+    # an antipodal pair has pairwise-sign sd exactly 1, so the critical
+    # value at level 0.05 is the 0.95 normal quantile
+    verdict = global_test_wpl(validate_sample([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2), 0.05)
+    assert abs(verdict.critical_value - 1.6448536269514722) <= 1e-15
 
 
 def test_are_bootstrap_zero_variance_on_constant_sample():
