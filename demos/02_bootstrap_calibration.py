@@ -2,9 +2,9 @@
 
 Each replicate flips the centered observations with fresh random signs and
 re-solves the location problem; the spread of the replicate max-norms
-calibrates simultaneous inference.  Replicates live on counter-based
-substreams, so the same seed reproduces the same statistics no matter how
-many workers run.
+calibrates simultaneous inference.  Replicates draw their signs from a
+counter-based stream indexed by replicate, so the same seed reproduces the
+same statistics no matter how many workers run.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 A scenario is plain JSON: distribution, shape, center pattern, sizes,
 replication counts, seed.  The harness derives one substream per replication
-(and further substreams for data and bootstrap), so the numbers below come
+(and further streams for data and bootstrap), so the numbers below come
 out identical on every rerun and any worker count.  This is a miniature of
 the coverage benchmark; scale `replications`/`B` up to 2500/400 to reproduce
 reference-quality tables.

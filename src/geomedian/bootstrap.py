@@ -2,9 +2,11 @@
 
 Each replicate multiplies the centered observations by independent random
 signs and records the scaled max-norm of the re-estimated center (spatial
-median target) or of the perturbed average (mean target).  Replicate b draws
-its signs from a counter-based substream keyed by (seed, namespace, b), so any
-subset of replicates can run anywhere, in any order, and the full vector of
+median target) or of the perturbed average (mean target).  A batch of
+replicates draws all its signs in one vectorised Philox call
+(:func:`geomedian.streams.rademacher`) whose counter carries the replicate
+index, so replicate b's signs depend only on (seed, namespace, b): any subset
+of replicates can run anywhere, in any order, and the full vector of
 statistics is reproduced bit-for-bit.
 
 Replicates are solved in fixed-size batches (a constant independent of the
@@ -30,7 +32,7 @@ from .estimator import (
     _weiszfeld_batch,
     _weiszfeld_span_batch,
 )
-from .streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher, substream
+from .streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
 # Batch of replicates solved together.  Fixed: batching must not change with
 # the worker count, or results would depend on scheduling.
@@ -80,8 +82,8 @@ def _multiplier_bootstrap(
     """Run B sign-multiplier replicates through ``solve(signs) -> centers``.
 
     ``solve`` maps a batch of sign rows (one row of n signs per replicate) to
-    the replicate centers.  Replicate b draws its signs from substream
-    (seed, namespace, b) and records sqrt(n) * max|center_b|.
+    the replicate centers.  Replicate b takes row b of the counter-based sign
+    stream keyed by (seed, namespace) and records sqrt(n) * max|center_b|.
     """
     if B < 1:
         raise InvalidScenario("B must be >= 1")
@@ -92,9 +94,7 @@ def _multiplier_bootstrap(
 
     def run_batch(span):
         lo, hi = span
-        signs = np.empty((hi - lo, n))
-        for j in range(hi - lo):
-            signs[j] = rademacher(substream(seed, namespace, lo + j), n)
+        signs = rademacher(seed, namespace, lo, hi - lo, n)
         try:
             centers = solve(signs)
         except DidNotConverge as err:

@@ -22,6 +22,7 @@ from .errors import GeomedianError
 from .estimator import gmom, spatial_median
 from .harness import emit_report, run_scenario, scenario_from_json
 from .inference import (
+    _require_plugin_scales,
     are_bootstrap,
     fdr_screen,
     global_test_cq,
@@ -141,6 +142,7 @@ def _load_theta0(args, p: int) -> np.ndarray:
 def _cmd_estimate(args) -> str:
     sample = read_csv(args.input)
     fit = spatial_median(sample)
+    _require_plugin_scales(fit)
     payload = {
         "theta_hat": fit.theta_hat,
         "iterations": fit.iterations,

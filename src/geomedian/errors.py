@@ -41,7 +41,8 @@ class DidNotConverge(GeomedianError):
 
 
 class DegenerateSample(GeomedianError):
-    """Raised when the solver iterates enter a non-finite or oscillating state."""
+    """Raised when the solver iterates enter a non-finite or oscillating state,
+    or when a fit leaves its plug-in scales undefined (every residual zero)."""
 
 
 class DegenerateRemainder(GeomedianError):

@@ -3,8 +3,8 @@
 A :class:`ScenarioSpec` describes a synthetic experiment (distribution, shape,
 center pattern, sizes, replication counts, seed); the ``run_*`` operations
 execute it and return a :class:`MetricsTable`.  Per-replication seeds derive
-from (scenario seed, replication index), estimator and bootstrap substreams
-derive further, so methods compared "on the same sample" truly share the
+from (scenario seed, replication index), data and bootstrap streams derive
+further, so methods compared "on the same sample" truly share the
 sample and reruns reproduce every statistic bit-for-bit.
 
 Replications may run on several worker threads; results land in arrays

@@ -22,6 +22,7 @@ from .bootstrap import (
 )
 from .data import Sample, validate_vector
 from .errors import (
+    DegenerateSample,
     DimensionMismatch,
     InvalidAlpha,
     InvalidDf,
@@ -294,15 +295,24 @@ def _check_theta0(theta0, p) -> np.ndarray:
     return validate_vector(v)
 
 
+def _require_plugin_scales(fit: SpatialMedianFit) -> None:
+    """Raise DegenerateSample unless zeta1_hat and b_diag_hat are defined.
+
+    They are NaN when every residual vanishes at the fitted center (one
+    observation, or all observations equal).
+    """
+    if not (np.isfinite(fit.zeta1_hat) and fit.zeta1_hat > 0 and np.isfinite(fit.b_diag_hat).all()):
+        raise DegenerateSample("plug-in scale undefined: no observation differs from the fitted center")
+
+
 def marginal_stats(sample: Sample, fit: SpatialMedianFit, theta0) -> np.ndarray:
     """Per-coordinate studentized statistics sqrt(n)(theta_hat_j - theta0_j)/s_j.
 
     The marginal scale is s_j = sqrt(b_diag_hat_j) / zeta1_hat.
     """
     theta0 = _check_theta0(theta0, sample.p)
+    _require_plugin_scales(fit)
     b_diag = fit.b_diag_hat
-    if not np.isfinite(fit.zeta1_hat) or fit.zeta1_hat <= 0 or not np.isfinite(b_diag).all():
-        raise ZeroScale(0)
     zero = np.nonzero(b_diag <= 0)[0]
     if zero.size:
         raise ZeroScale(int(zero[0]))
@@ -368,7 +378,7 @@ def are_bootstrap(
     """Bootstrap estimate of the mean-vs-median max-norm variance ratio.
 
     Both multiplier bootstraps run on the same sample with independent
-    substream families derived from the one seed.
+    sign streams (one namespace per target) derived from the one seed.
     """
     if B < 2:
         raise TooFewDraws("need B >= 2 replicates")
@@ -385,22 +395,51 @@ def are_bootstrap(
     )
 
 
+# c_k of log Gamma(x - 1/2) - log Gamma(x) ~ -log(x)/2 + sum_k c_k / x^k, from
+# the Bernoulli-polynomial expansion of log Gamma(x + a) (DLMF 5.11.8):
+# c_k = (-1)^(k+1) (B_{k+1}(-1/2) - B_{k+1}(0)) / (k (k+1)).  At x >= 10 the
+# first omitted term is below 4e-18.
+_HALF_RATIO_SERIES = (
+    3 / 8, 1 / 8, 3 / 64, 1 / 64, 3 / 640, 1 / 384, 33 / 14336, 1 / 2048,
+    -3 / 2048, 1 / 10240, 699 / 180224, 1 / 49152, -5457 / 425984, 1 / 229376,
+    309867 / 5242880, 1 / 1048576,
+)
+
+
+def _log_half_gamma_ratio(x: float) -> float:
+    """log Gamma(x - 1/2) - log Gamma(x) + log(x) / 2, for x >= 1.
+
+    The two log-gammas nearly cancel at large x, so the difference comes from
+    its asymptotic series instead, after raising x to 10 or more with
+    Gamma(x - 1/2) / Gamma(x) = x / (x - 1/2) * Gamma(x + 1/2) / Gamma(x + 1).
+    """
+    shift = 0.0
+    while x < 10.0:
+        shift += math.log(x / (x - 0.5)) - 0.5 * math.log1p(1.0 / x)
+        x += 1.0
+    t = 1.0 / x
+    series = 0.0
+    for c in reversed(_HALF_RATIO_SERIES):
+        series = (series + c) * t
+    return shift + series
+
+
 def are_analytic(model: str, p: int, df: float | None = None) -> float:
     """Closed-form large-p efficiency ratio for spherical reference models.
 
-    ``model`` is "gaussian" or "student_t" (the latter needs df > 2).
-    Evaluated in log-gamma space.
+    ``model`` is "gaussian" or "student_t" (the latter needs df > 2).  The
+    Gaussian ratio p Gamma((p-1)/2)^2 / (2 Gamma(p/2)^2) is exp(2 S(p/2)) with
+    S = :func:`_log_half_gamma_ratio`; the Student-t ratio multiplies it by
+    2 Gamma((df+1)/2)^2 / ((df-2) Gamma(df/2)^2).
     """
     if p < 2:
         raise InvalidScenario("p must be >= 2")
-    half = p / 2.0
-    log_core = np.log(p) + 2.0 * (math.lgamma(half - 0.5) - math.lgamma(half)) - np.log(2.0)
+    log_core = 2.0 * _log_half_gamma_ratio(p / 2.0)
     if model == "gaussian":
-        return float(np.exp(log_core))
+        return math.exp(log_core)
     if model == "student_t":
         if df is None or df <= 2:
             raise InvalidDf(f"degrees of freedom must exceed 2, got {df}")
-        v = df / 2.0
-        log_t = np.log(2.0) - np.log(df - 2.0) + 2.0 * (math.lgamma(v + 0.5) - math.lgamma(v))
-        return float(np.exp(log_core + log_t))
+        log_t = math.log((df + 1.0) / (df - 2.0)) - 2.0 * _log_half_gamma_ratio((df + 1.0) / 2.0)
+        return math.exp(log_core + log_t)
     raise InvalidScenario(f"unknown model {model!r}")

@@ -6,6 +6,8 @@ its subgradient, and the enumeration helpers walk all sign patterns.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,3 +79,13 @@ def ks_distance(sample_a, sample_b):
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+def are_gaussian_even_p(p):
+    """Gaussian large-p efficiency ratio p Gamma((p-1)/2)^2 / (2 Gamma(p/2)^2), p even.
+
+    With m = p/2, Gamma(m - 1/2) = (2m-2)! sqrt(pi) / (4^(m-1) (m-1)!), so the
+    ratio is m pi C(2m-2, m-1)^2 / 16^(m-1): an exact rational times pi.
+    """
+    m = p // 2
+    return float(Fraction(m * math.comb(2 * m - 2, m - 1) ** 2, 16 ** (m - 1))) * math.pi

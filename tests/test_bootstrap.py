@@ -17,7 +17,7 @@ from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, TooFewDraws
 from geomedian.estimator import _data_scale, _SpanCoords, _weiszfeld_batch, _weiszfeld_span_batch
 from geomedian.simdata import DistributionSpec, draw
-from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher, substream
+from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
 from _oracles import all_sign_patterns, is_distance_sum_minimizer, ks_distance
 
@@ -164,10 +164,10 @@ def _check_sign_flip_closure(p):
     b = bootstrap_spatial_median(flipped, fit_flipped, 300, seed=10)
     assert np.array_equal(a.stats, b.stats)
 
-    # matched substreams: flipping residuals and multipliers together leaves
+    # matched multipliers: flipping residuals and multipliers together leaves
     # every multiplied point, hence every statistic, bitwise unchanged
     residuals = sample.values - fit.theta_hat
-    signs = np.stack([rademacher(substream(11, NS_BOOT_MEAN, b_), 10) for b_ in range(8)])
+    signs = rademacher(11, NS_BOOT_MEAN, 0, 8, 10)
     cfg = SolverConfig()
     scale = _data_scale(residuals)
     beta_a, _, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((8, p)))
@@ -190,7 +190,7 @@ def test_span_solve_matches_point_solve(model, df, rho):
     sample = draw(spec, n, seed=31)
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
-    signs = np.stack([rademacher(substream(5, NS_BOOT_MEDIAN, b), n) for b in range(B)])
+    signs = rademacher(5, NS_BOOT_MEDIAN, 0, B, n)
     cfg = SolverConfig()
     scale = _data_scale(residuals)
     span_beta, span_iters, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)

@@ -123,6 +123,17 @@ def test_computation_error_exits_two_with_json(tmp_path, capsys):
     assert err["error"]["type"] == "NonFiniteEntry"
 
 
+def test_estimate_one_row_exits_two_on_undefined_scale(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    write_csv(path, np.array([[0.5, -1.0, 2.0, 3.0]]))
+    assert main(["estimate", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DegenerateSample"
+    assert "plug-in scale undefined" in error["message"]
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["estimate", "--in", "/nonexistent/nope.csv"]) == 2
 

@@ -26,6 +26,7 @@ from geomedian import (
     validate_sample,
 )
 from geomedian.errors import (
+    DegenerateSample,
     DimensionMismatch,
     InvalidAlpha,
     InvalidDf,
@@ -37,7 +38,7 @@ from geomedian.errors import (
 from geomedian.estimator import _data_scale, _weiszfeld_batch
 from geomedian.inference import _two_sided_p
 
-from _oracles import all_sign_patterns
+from _oracles import all_sign_patterns, are_gaussian_even_p
 
 
 def test_sci_constant_sample_zero_width():
@@ -207,6 +208,17 @@ def test_marginal_stats_zero_scale_coordinate():
     assert err.value.coordinate == 1
 
 
+@pytest.mark.parametrize("rows", [[[2.5, -1.0]], [[1.0, 2.0]] * 5], ids=["one_row", "identical_rows"])
+def test_marginal_stats_undefined_scale_is_degenerate(rows):
+    # every residual vanishes, so zeta1_hat and b_diag_hat are NaN, not zero
+    sample = validate_sample(rows)
+    fit = spatial_median(sample)
+    with pytest.raises(DegenerateSample, match="plug-in scale undefined"):
+        marginal_stats(sample, fit, np.zeros(2))
+    with pytest.raises(DegenerateSample, match="plug-in scale undefined"):
+        fdr_screen(sample, np.zeros(2), alpha=0.1)
+
+
 def test_marginal_stats_scale_invariant():
     rng = np.random.default_rng(14)
     values = rng.standard_normal((40, 5)) + 0.3
@@ -349,6 +361,12 @@ def test_are_analytic_gaussian_p2_is_pi():
 def test_are_analytic_limits():
     assert abs(are_analytic("gaussian", 10**6) - 1.0) < 1e-4
     assert abs(are_analytic("student_t", 10**6, df=5.0) - 128.0 / (27.0 * np.pi)) < 1e-3
+
+
+@pytest.mark.parametrize("p", [10, 1000, 100000])
+def test_are_analytic_gaussian_matches_exact_rational(p):
+    exact = are_gaussian_even_p(p)
+    assert abs(are_analytic("gaussian", p) - exact) <= 1e-14 * exact
 
 
 def test_are_analytic_gaussian_decreases_to_its_limit():
