@@ -101,7 +101,10 @@ def _multiplier_bootstrap(
             raise DidNotConverge(
                 err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)
             ) from err
-        stats[lo:hi] = root_n * np.abs(centers).max(axis=1)
+        # max|c| without an |centers| temporary; abs keeps +0.0 for a row of
+        # zeros whose max(max, -min) may come out as -0.0
+        peak = np.maximum(centers.max(axis=1), -centers.min(axis=1))
+        stats[lo:hi] = root_n * np.abs(peak)
         if vectors is not None:
             vectors[lo:hi] = centers
 

@@ -42,7 +42,8 @@ class DidNotConverge(GeomedianError):
 
 class DegenerateSample(GeomedianError):
     """Raised when the solver iterates enter a non-finite or oscillating state,
-    or when a fit leaves its plug-in scales undefined (every residual zero)."""
+    when a fit leaves its plug-in scales undefined (every residual zero), or
+    when bootstrap calibration gets a sample whose rows are all equal."""
 
 
 class DegenerateRemainder(GeomedianError):

@@ -9,6 +9,12 @@ distances are evaluated through the inner-product expansion
 each iteration is a few matrix products.  Entries too small for the expansion
 to resolve are recomputed directly before they feed the weights.
 
+A sweep builds the distance matrix in place and takes its row minima once;
+they decide which rescue the sweep needs (distance repair, vertex check,
+Vardi-Zhang anchoring).  A sweep that needs none, the usual case, takes the
+plain Weiszfeld step numer / denom without masks or blends: the value the
+general step gives at lambda = 0.
+
 The core runs in one of two representations of the iterates.  Plain points of
 R^p serve every fit.  Solves started at the origin (the bootstrap replicates)
 never leave the row span of the points, so they can instead carry
@@ -185,9 +191,25 @@ def _weiszfeld_span_batch(span, signs, config, scale):
 def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
     """The batched Weiszfeld / Vardi-Zhang iteration in either representation.
 
-    ``beta`` holds the starting iterates in ``coords``' representation and is
-    updated in place.  Vertex checks, distance repairs and the Newton polish
-    run on points of R^p, mapped through ``coords.to_points``.
+    ``beta`` holds the starting iterates in ``coords``' representation.
+    Vertex checks, distance repairs and the Newton polish run on points of
+    R^p, mapped through ``coords.to_points``.
+
+    Each sweep takes the row minima of the (rows x n) distance matrix once,
+    and they open the rescue paths:
+
+    - below the repair floor: the entries under it are recomputed directly;
+    - below 0.02 * scale, every 4th sweep: the nearest point is tested for
+      optimality and the row snaps to it if it is the minimizer;
+    - at or below the anchor radius, in any row: the whole sweep takes the
+      Vardi-Zhang step, weighting out coincident points and blending with
+      lambda = min(1, eta / ||R||).
+
+    Otherwise the step is numer / denom directly.  While every row is active
+    the sweep reads and replaces ``signs`` and ``beta`` whole, without
+    gathering rows.  Non-finite distances raise DegenerateSample; rows still
+    active at t % 256 == 0 get a Newton polish, and a row out of iterations
+    raises DidNotConverge with its index.
     """
     points = coords.points
     sq_norms = coords.sq_norms
@@ -270,6 +292,7 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
                 return None
         return None
 
+    twice = 2.0 * signs  # exact for +-1
     for t in range(1, config.max_iter + 1):
         if t % 256 == 0:
             # anything still active this late is likely in the near-vertex
@@ -283,24 +306,31 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        za = signs[idx]
-        ba = beta[idx]
+        full = idx.size == m
+        if full:
+            za, z2, ba = signs, twice, beta
+        else:
+            za, z2, ba = signs[idx], twice[idx], beta[idx]
         prod, sq = coords.project(ba)
-        d2 = sq_norms[None, :] - 2.0 * za * prod + sq[:, None]
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
+        # dist = sqrt(max(sq_norms - 2 z prod + sq, 0)), built in prod's buffer
+        dist = np.multiply(z2, prod, out=prod)
+        np.subtract(sq_norms, dist, out=dist)
+        dist += sq[:, None]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        row_min = dist.min(axis=1)
 
-        low = dist < repair_floor
-        if low.any():
-            rb, ri = np.nonzero(low)
+        if (row_min < repair_floor).any():
+            rb, ri = np.nonzero(dist < repair_floor)
             diff = za[rb, ri, None] * points[ri] - coords.to_points(ba[rb])
             dist[rb, ri] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if not np.isfinite(dist).all():
+            repaired = np.unique(rb)
+            row_min[repaired] = dist[repaired].min(axis=1)
+        if not np.isfinite(dist.max()):  # max propagates NaN
             raise DegenerateSample("non-finite distances encountered")
 
         if t % 4 == 0:
-            near = dist.min(axis=1) < 0.02 * scale
-            for j in np.nonzero(near)[0]:
+            for j in np.nonzero(row_min < 0.02 * scale)[0]:
                 k = int(dist[j].argmin())
                 snapped = vertex_solution(idx[j], k)
                 if snapped is not None:
@@ -308,34 +338,52 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
                     sq[j] = sq_norms[k]
                     diff = za[j][:, None] * points - snapped
                     dist[j] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-        anchored = dist <= eps_anchor
-        weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=~anchored)
-        denom = weights.sum(axis=1)
-        numer = coords.combine(weights * za)
-        resid = numer - denom[:, None] * ba
-        resid_norm = coords.norm(resid)
-        eta = anchored.sum(axis=1).astype(np.float64)
-
-        target = np.divide(numer, denom[:, None], out=ba.copy(), where=denom[:, None] > 0)
-        lam = np.zeros(idx.size)
-        at_anchor = eta > 0
-        with np.errstate(divide="ignore"):
-            lam[at_anchor] = np.minimum(
-                1.0, eta[at_anchor] / np.where(resid_norm[at_anchor] > 0, resid_norm[at_anchor], np.inf)
-            )
-        lam[at_anchor & (resid_norm == 0)] = 1.0
-        new = (1.0 - lam[:, None]) * target + lam[:, None] * ba
+                    row_min[j] = dist[j].min()
 
         if collect_objective:
             history.append(float(dist[0].sum()))
+
+        if (row_min > eps_anchor).all():
+            # no point coincides with any iterate: every weight is positive
+            # and finite, so denom > 0, eta = lambda = 0, and the blend
+            # (1 - 0) * target + 0 * ba is target itself (a -0.0 target, which
+            # only an underflowing quotient could give, would read +0.0 there)
+            weights = np.divide(1.0, dist, out=dist)
+            denom = weights.sum(axis=1)
+            weights *= za
+            numer = coords.combine(weights)
+            resid = numer - denom[:, None] * ba
+            resid_norm = coords.norm(resid)
+            eta = 0.0
+            new = np.divide(numer, denom[:, None], out=numer)
+        else:
+            anchored = dist <= eps_anchor
+            weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=~anchored)
+            denom = weights.sum(axis=1)
+            numer = coords.combine(weights * za)
+            resid = numer - denom[:, None] * ba
+            resid_norm = coords.norm(resid)
+            eta = anchored.sum(axis=1).astype(np.float64)
+
+            target = np.divide(numer, denom[:, None], out=ba.copy(), where=denom[:, None] > 0)
+            lam = np.zeros(idx.size)
+            at_anchor = eta > 0
+            with np.errstate(divide="ignore"):
+                lam[at_anchor] = np.minimum(
+                    1.0, eta[at_anchor] / np.where(resid_norm[at_anchor] > 0, resid_norm[at_anchor], np.inf)
+                )
+            lam[at_anchor & (resid_norm == 0)] = 1.0
+            new = (1.0 - lam[:, None]) * target + lam[:, None] * ba
 
         step = coords.norm(new - ba)
         denom_change = np.maximum(1.0, np.sqrt(sq))
         grad_ok = (resid_norm <= grad_bound) | (resid_norm <= eta)
         done = (step / denom_change < config.tol) & grad_ok
 
-        beta[idx] = new
+        if full:
+            beta = new
+        else:
+            beta[idx] = new
         iterations[idx] = t
         grad_norm[idx] = resid_norm
         active[idx[done]] = False

@@ -127,10 +127,14 @@ def _calibrate(
     """Fit the method's center and draw its matching multiplier bootstrap.
 
     The one fit-and-draws step behind the intervals, the max-norm tests and
-    the Monte Carlo harness.
+    the Monte Carlo harness.  A sample whose rows are all equal raises
+    DegenerateSample: every replicate would be 0, giving zero-width intervals
+    and a zero critical value.
     """
     if sample.n < 2:
         raise InvalidScenario("need n >= 2 observations for bootstrap calibration")
+    if (sample.values == sample.values[0]).all():
+        raise DegenerateSample("every observation is identical: the bootstrap law is a point mass at 0")
     if method == METHOD_MEDIAN:
         fit = spatial_median(sample, config)
         return fit.theta_hat, bootstrap_spatial_median(sample, fit, B, seed, config, workers)

@@ -63,9 +63,14 @@ class DistributionSpec:
             raise InvalidScenario(
                 f"shape matrix is {self.shape.p}x{self.shape.p} but theta has length {theta.size}"
             )
-        root = symmetric_sqrt(self.shape.omega)
+        identity = np.eye(self.shape.p)
+        # the square root of I is I: skip the O(p^3) eigendecomposition
+        if np.array_equal(self.shape.omega, identity):
+            root = identity
+        else:
+            root = symmetric_sqrt(self.shape.omega)
         object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_root_is_identity", bool(np.array_equal(root, np.eye(self.shape.p))))
+        object.__setattr__(self, "_root_is_identity", bool(np.array_equal(root, identity)))
 
 
 def draw(spec: DistributionSpec, n: int, seed: int) -> Sample:

@@ -15,7 +15,13 @@ from geomedian import (
 from geomedian.bootstrap import BootstrapDraws
 from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, TooFewDraws
-from geomedian.estimator import _data_scale, _SpanCoords, _weiszfeld_batch, _weiszfeld_span_batch
+from geomedian.estimator import (
+    _data_scale,
+    _PointCoords,
+    _SpanCoords,
+    _weiszfeld_batch,
+    _weiszfeld_span_batch,
+)
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
@@ -32,6 +38,7 @@ def test_identical_observations_give_zero_stats():
     fit = spatial_median(sample)
     draws = bootstrap_spatial_median(sample, fit, 50, seed=1)
     assert_allclose(draws.stats, 0.0)
+    assert not np.signbit(draws.stats).any()
 
 
 def test_mirror_pair_two_point_law_by_enumeration():
@@ -73,6 +80,7 @@ def test_mean_bootstrap_constant_sample_is_zero():
     sample = validate_sample([[3.0, 3.0]] * 5)
     draws = bootstrap_mean(sample, 64, seed=2)
     assert_allclose(draws.stats, 0.0)
+    assert not np.signbit(draws.stats).any()
 
 
 def test_mean_bootstrap_mirror_pair_closed_form():
@@ -240,6 +248,64 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
         at_origin += not span_beta[b].any()
         at_vertex += any(np.array_equal(span_beta[b], multiplied[b, k]) for k in range(2, 10))
     assert at_origin > 0 and at_vertex > 0
+
+
+@pytest.mark.parametrize("coords", [_PointCoords, _SpanCoords], ids=["point", "span"])
+def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
+    # the origin start sits on the zero row (anchored step, distance repair);
+    # under the first sign row the five copies of v outweigh the rest, so that
+    # row snaps to v at t = 12 while all four rows run; the rows then finish
+    # at different sweeps and the batch compacts
+    v = [1.0, 0.0, 0.0]
+    points = np.vstack([np.zeros(3), np.tile(v, (5, 1)), [[0.0, 1.0, 0.5], [-1.0, -1.0, 0.2], [0.3, -0.4, -1.0]]])
+    signs = np.array([
+        [1, 1, 1, 1, 1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1, 1, 1, 1, -1],
+        [1, 1, 1, -1, -1, -1, -1, 1, 1],
+        [-1, -1, -1, 1, 1, 1, 1, -1, 1],
+    ], dtype=np.float64)
+    m = signs.shape[0]
+
+    sweeps, snaps, repairs = [], [], []
+    combine, vertex, to_points = coords.combine, coords.vertex, coords.to_points
+
+    def combine_spy(self, weights):
+        # one call per sweep; a zero weight marks an anchored point, so that
+        # row takes a Vardi-Zhang step with lambda > 0
+        sweeps.append((weights.shape[0], int((weights == 0).any(axis=1).sum())))
+        return combine(self, weights)
+
+    def vertex_spy(self, k, sign):
+        snaps.append(len(sweeps))
+        return vertex(self, k, sign)
+
+    def to_points_spy(self, coef):
+        repairs.append(coef.shape[0])
+        return to_points(self, coef)
+
+    monkeypatch.setattr(coords, "combine", combine_spy)
+    monkeypatch.setattr(coords, "vertex", vertex_spy)
+    monkeypatch.setattr(coords, "to_points", to_points_spy)
+
+    cfg = SolverConfig()
+    scale = _data_scale(points)
+    if coords is _SpanCoords:
+        beta, iters, _, _ = _weiszfeld_span_batch(_SpanCoords(points), signs, cfg, scale)
+    else:
+        beta, iters, _, _ = _weiszfeld_batch(points, signs, cfg, scale, init=np.zeros((m, 3)))
+
+    rows = [size for size, _ in sweeps]
+    assert rows[0] == m and min(rows) < m  # all-active sweeps, then compacted ones
+    assert len(set(iters.tolist())) == m  # every row stops at its own sweep
+    assert sweeps[0][1] == m  # every row starts anchored at the zero row ...
+    assert not np.isclose(beta, 0.0).all(axis=1).any()  # ... and steps off it
+    assert snaps and all(rows[t] == m for t in snaps)  # snapped with every row running
+    assert np.array_equal(beta[0], v)
+    assert len(repairs) > 1  # repaired distances, besides the final mapping
+    assert iters.max() < 256  # no Newton polish involved
+    multiplied = signs[:, :, None] * points
+    for b in range(m):
+        assert is_distance_sum_minimizer(multiplied[b], beta[b])
 
 
 def test_stats_csv_round_trip(tmp_path):

@@ -134,6 +134,17 @@ def test_estimate_one_row_exits_two_on_undefined_scale(tmp_path, capsys):
     assert "plug-in scale undefined" in error["message"]
 
 
+def test_sci_constant_sample_exits_two(tmp_path, capsys):
+    path = tmp_path / "constant.csv"
+    write_csv(path, np.tile([1.5, -0.5, 2.0], (10, 1)))
+    assert main(["sci", "--in", str(path), "--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DegenerateSample"
+    assert "every observation is identical" in error["message"]
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["estimate", "--in", "/nonexistent/nope.csv"]) == 2
 

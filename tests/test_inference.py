@@ -41,12 +41,12 @@ from geomedian.inference import _two_sided_p
 from _oracles import all_sign_patterns, are_gaussian_even_p
 
 
-def test_sci_constant_sample_zero_width():
+def test_sci_constant_sample_is_degenerate():
+    # every replicate would be 0: zero-width intervals are refused, not returned
     sample = validate_sample([[4.0, -2.0]] * 6)
-    result = sci(sample, 0.9, 100, seed=1)
-    assert_allclose(result.lower, [4.0, -2.0])
-    assert_allclose(result.upper, [4.0, -2.0])
-    assert result.q_boot == 0.0
+    for method in ("median", "mean"):
+        with pytest.raises(DegenerateSample, match="every observation is identical"):
+            sci(sample, 0.9, 100, seed=1, method=method)
 
 
 def test_sci_constant_width_and_level_check():
@@ -123,10 +123,13 @@ def test_global_test_needs_two_observations(test):
 
 
 def test_global_test_mean_constant_sample():
+    # the critical value would be 0, so any theta0 off the sample would reject
     sample = validate_sample([[1.0, 2.0]] * 8)
-    result = global_test_mean(sample, np.array([1.0, 2.0]), 0.05, 100, seed=12)
-    assert result.statistic == 0.0
-    assert not result.reject
+    for theta0 in ([1.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(DegenerateSample, match="every observation is identical"):
+            global_test_mean(sample, np.array(theta0), 0.05, 100, seed=12)
+        with pytest.raises(DegenerateSample, match="every observation is identical"):
+            global_test_median(sample, np.array(theta0), 0.05, 100, seed=12)
 
 
 def test_wpl_antipodal_pair():
@@ -316,8 +319,13 @@ def test_p_values_decrease_in_statistic_magnitude():
     assert abs(verdict.critical_value - 1.6448536269514722) <= 1e-15
 
 
-def test_are_bootstrap_zero_variance_on_constant_sample():
+def test_are_bootstrap_constant_sample_is_degenerate():
     sample = validate_sample([[1.0, 1.0]] * 5)
+    with pytest.raises(DegenerateSample, match="every observation is identical"):
+        are_bootstrap(sample, 50, seed=18)
+    # four of five rows on the median: every replicate re-solves to the
+    # origin, so the median-target variance is zero without a constant sample
+    sample = validate_sample([[1.0, 1.0]] * 4 + [[2.0, 3.0]])
     with pytest.raises(ZeroVariance):
         are_bootstrap(sample, 50, seed=18)
 

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from geomedian import DistributionSpec, ThetaPattern, ar1_shape, draw, theta_vector
 from geomedian.errors import InvalidDf, InvalidScenario, PatternTooLarge
+from geomedian import simdata
+from geomedian.data import symmetric_sqrt
 from geomedian.simdata import T_MODE_SCALE
 
 
@@ -26,6 +28,23 @@ def test_growing_n_extends_rather_than_reshuffles():
     short = draw(spec, 20, seed=3).values
     long = draw(spec, 50, seed=3).values
     assert np.array_equal(long[:20], short)
+
+
+def test_identity_shape_skips_the_square_root(monkeypatch):
+    calls = []
+
+    def spy(omega):
+        calls.append(omega)
+        return symmetric_sqrt(omega)
+
+    monkeypatch.setattr(simdata, "symmetric_sqrt", spy)
+    spec = _spec("student_t", 6, df=4.0)
+    assert calls == [] and spec._root_is_identity
+    # the rows are the unrotated core, exactly as with the computed root sqrt(I) = I
+    rotated = draw(spec, 30, seed=5).values @ symmetric_sqrt(np.eye(6))
+    assert np.array_equal(draw(spec, 30, seed=5).values, rotated)
+    assert not _spec("gaussian", 6, rho=0.3)._root_is_identity
+    assert len(calls) == 1
 
 
 def test_gaussian_large_sample_moments():
