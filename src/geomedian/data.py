@@ -6,7 +6,7 @@ matrix that drives the dependence structure of the synthetic-data generators;
 it is normalized so that its trace equals the dimension.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,20 @@ _TRACE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Sample:
-    """Immutable n x p data matrix, one observation per row."""
+    """Immutable n x p data matrix, one observation per row.
+
+    ``_fits`` memoises the spatial median of this sample per solver
+    configuration (see :func:`geomedian.estimator.spatial_median`), so
+    intervals, global tests and screening on one sample share one fit.  The
+    memo is sound because the data do not change: :func:`validate_sample`,
+    the only constructor, copies the values and makes them read-only, the
+    cached fit's arrays are read-only too, and the solver is deterministic,
+    so a memoised fit is byte-identical to a fresh one.  (A caller that
+    re-enables writes on either on purpose gives that up.)
+    """
 
     values: np.ndarray
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

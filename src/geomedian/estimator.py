@@ -411,8 +411,15 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
 
     Uniqueness requires the observations not to be collinear when p > 2; for
     collinear inputs the solver simply reports the minimizer it reaches.
+
+    Fits are shared per (sample, config): the first successful fit is stored
+    on the sample and returned to every later call with an equal config.  A
+    solve that raises stores nothing.
     """
     cfg = config or SolverConfig()
+    memo = sample._fits.get(cfg)
+    if memo is not None:
+        return memo
     x = sample.values
     n, p = x.shape
     scale = _data_scale(x)
@@ -436,7 +443,7 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
     objective = float(norms.sum() - np.linalg.norm(x, axis=1).sum())
     theta.flags.writeable = False
     b_diag.flags.writeable = False
-    return SpatialMedianFit(
+    fit = SpatialMedianFit(
         theta_hat=theta,
         iterations=int(iters[0]),
         objective=objective,
@@ -444,6 +451,8 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
         zeta1_hat=zeta1,
         b_diag_hat=b_diag,
     )
+    # setdefault: concurrent first calls all return the one stored fit
+    return sample._fits.setdefault(cfg, fit)
 
 
 def gmom(sample: Sample, k_blocks: int, config: SolverConfig | None = None, seed: int = 0) -> np.ndarray:

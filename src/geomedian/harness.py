@@ -31,13 +31,13 @@ from .inference import (
     METHOD_MEDIAN,
     METHOD_WPL,
     _calibrate,
+    _mean_t_p_values,
     _sci_result,
     _test_result,
-    _two_sided_p,
     bh_fdr,
+    fdr_screen,
     global_test_cq,
     global_test_wpl,
-    marginal_stats,
 )
 from .simdata import (
     MODEL_GAUSSIAN,
@@ -343,12 +343,11 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
     cfg = SolverConfig()
     theta0 = np.zeros(spec.p)
     m, n_levels = spec.replications, len(spec.levels)
-    root_n = np.sqrt(spec.n)
     fdp = np.zeros((m, n_levels, 2))
     tpp = np.zeros((m, n_levels, 2))
 
-    def screen(p_values, alpha):
-        sel = bh_fdr(p_values, alpha)
+    def proportions(sel):
+        """False-discovery and true-positive proportions of one selection."""
         hits = signal[sel.rejected].sum() if sel.k_hat else 0
         false = sel.k_hat - hits
         prop_false = false / max(sel.k_hat, 1)
@@ -358,14 +357,12 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
     def one(r):
         rep_seed = child_seed(spec.seed, NS_HARNESS, r)
         sample = draw(dist, spec.n, rep_seed)
-        fit = spatial_median(sample, cfg)
-        pv_med = _two_sided_p(marginal_stats(sample, fit, theta0))
-        xbar = sample.values.mean(axis=0)
-        sd = sample.values.std(axis=0, ddof=1)
-        pv_mean = _two_sided_p(root_n * xbar / sd)
+        # the sample memoises its fit, so levels after the first re-solve nothing
         for li, alpha in enumerate(spec.levels):
-            fdp[r, li, 0], tpp[r, li, 0] = screen(pv_med, alpha)
-            fdp[r, li, 1], tpp[r, li, 1] = screen(pv_mean, alpha)
+            fdp[r, li, 0], tpp[r, li, 0] = proportions(fdr_screen(sample, theta0, alpha, cfg))
+        pv_mean = _mean_t_p_values(sample, theta0)
+        for li, alpha in enumerate(spec.levels):
+            fdp[r, li, 1], tpp[r, li, 1] = proportions(bh_fdr(pv_mean, alpha))
 
     _run_replications(spec, m, one, workers)
     runtime = time.perf_counter() - start if include_runtime else None

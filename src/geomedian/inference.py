@@ -178,8 +178,7 @@ def sci(
     Fits the chosen center, calibrates the max-norm by the matching multiplier
     bootstrap, and returns center -/+ q/sqrt(n) per coordinate.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     center, draws = _calibrate(sample, method, B, seed, config, workers)
     return _sci_result(center, draws, level, method)
 
@@ -198,6 +197,7 @@ def global_test_median(
     ``level`` is the significance level; the critical value is the
     ``1 - level`` quantile of the bootstrap replicates.
     """
+    _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     center, draws = _calibrate(sample, METHOD_MEDIAN, B, seed, config, workers)
     return _test_result(center, draws, theta0, level, METHOD_MEDIAN)
@@ -212,6 +212,7 @@ def global_test_mean(
     workers: int = 1,
 ) -> GlobalTestResult:
     """Max-norm test of a hypothesised center, sample-mean version."""
+    _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     center, draws = _calibrate(sample, METHOD_MEAN, B, seed, workers=workers)
     return _test_result(center, draws, theta0, level, METHOD_MEAN)
@@ -227,6 +228,7 @@ def global_test_wpl(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRe
     add a 1/n term that dominates tr(B^2) whenever p >> n and would drive the
     size to zero.  Rejection uses an upper-tail normal cutoff.
     """
+    _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     n = sample.n
     if n < 2:
@@ -251,6 +253,7 @@ def global_test_cq(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRes
     variance 2 n(n-1) tr(Sigma^2) is estimated by the pairwise second moment
     of the same inner products.  Provided for comparison only.
     """
+    _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     n = sample.n
     if n < 2:
@@ -266,8 +269,6 @@ def global_test_cq(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRes
 
 
 def _normal_calibrated(statistic, sd, level, method) -> GlobalTestResult:
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
     critical = NormalDist().inv_cdf(1.0 - level) * sd
     if sd > 0:
         p_value = float(_upper_tail(statistic / sd))
@@ -290,6 +291,17 @@ def _upper_tail(z):
 def _two_sided_p(t_stats) -> np.ndarray:
     """Two-sided normal p-values 2 P(N(0, 1) > |t|)."""
     return 2.0 * _upper_tail(np.abs(t_stats))
+
+
+def _check_level(level) -> None:
+    """Reject a level outside (0, 1) before any fit or bootstrap runs."""
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+
+
+def _check_alpha(alpha) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _check_theta0(theta0, p) -> np.ndarray:
@@ -334,8 +346,7 @@ class BhSelection:
 def bh_fdr(p_values, alpha: float) -> BhSelection:
     """Step-up selection: reject the k smallest p-values, k the largest j with
     P_(j) <= alpha * j / p.  Ties at the threshold share its fate."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     pv = np.asarray(p_values, dtype=np.float64).reshape(-1)
     if pv.size == 0 or (pv < 0).any() or (pv > 1).any() or not np.isfinite(pv).all():
         raise InvalidAlpha("p-values must lie in [0, 1]")
@@ -358,6 +369,7 @@ def fdr_screen(
     Studentized spatial-median statistics get two-sided normal p-values which
     feed the step-up rule.
     """
+    _check_alpha(alpha)
     fit = spatial_median(sample, config)
     t_stats = marginal_stats(sample, fit, theta0)
     p_values = _two_sided_p(t_stats)
@@ -370,6 +382,13 @@ def fdr_screen(
         threshold_p=selection.threshold_p,
         alpha=alpha,
     )
+
+
+def _mean_t_p_values(sample: Sample, theta0: np.ndarray) -> np.ndarray:
+    """Two-sided normal p-values of the coordinate-wise t-statistics
+    sqrt(n)(xbar_j - theta0_j)/sd_j: the mean-based screening baseline."""
+    x = sample.values
+    return _two_sided_p(np.sqrt(sample.n) * (x.mean(axis=0) - theta0) / x.std(axis=0, ddof=1))
 
 
 def are_bootstrap(

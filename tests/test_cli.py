@@ -145,6 +145,15 @@ def test_sci_constant_sample_exits_two(tmp_path, capsys):
     assert "every observation is identical" in error["message"]
 
 
+@pytest.mark.parametrize("method", ["median", "mean"])
+def test_test_out_of_range_alpha_names_the_given_value(tmp_path, capsys, method):
+    data = _write_sample(tmp_path)
+    assert main(["test", "--in", data, "--method", method, "--seed", "1", "--alpha", "1.5"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InvalidLevel"
+    assert error["message"] == "level must lie in (0, 1), got 1.5"
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["estimate", "--in", "/nonexistent/nope.csv"]) == 2
 

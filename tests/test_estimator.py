@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,12 +7,16 @@ from numpy.testing import assert_allclose
 from geomedian import (
     SolverConfig,
     bahadur_remainder,
+    fdr_screen,
+    global_test_median,
     gmom,
+    sci,
     spatial_median,
     spatial_sign,
     validate_sample,
 )
-from geomedian.errors import DegenerateRemainder, InvalidScenario
+from geomedian import bootstrap, estimator
+from geomedian.errors import DegenerateRemainder, DegenerateSample, DidNotConverge, InvalidScenario
 from geomedian.estimator import _data_scale, _weiszfeld_batch
 from geomedian.streams import NS_BLOCKS, substream
 
@@ -199,3 +205,92 @@ def test_bahadur_remainder_finite_on_gaussian_sample():
     fit = spatial_median(sample)
     value = bahadur_remainder(sample, np.zeros(5), fit)
     assert np.isfinite(value) and value >= 0.0
+
+
+def _count_fits(monkeypatch):
+    """Spy on the batched solver; a call without ``init`` is a spatial-median fit
+    (bootstrap replicates start from ``init``)."""
+    fits = []
+
+    def spy(*args, **kwargs):
+        if kwargs.get("init") is None:
+            fits.append(args[0].shape)
+        return _weiszfeld_batch(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_weiszfeld_batch", spy)
+    monkeypatch.setattr(bootstrap, "_weiszfeld_batch", spy)
+    return fits
+
+
+def _procedures(take):
+    """Interval, test, screening and fit outputs, as bytes, each on take()."""
+    band = sci(take(), 0.9, 60, seed=4)
+    test = global_test_median(take(), np.zeros(band.lower.size), 0.05, 60, seed=5)
+    screen = fdr_screen(take(), np.zeros(band.lower.size), 0.1)
+    fit = spatial_median(take())
+    return [
+        band.lower.tobytes(), band.upper.tobytes(), repr(test.to_json()),
+        screen.p_values.tobytes(), fit.theta_hat.tobytes(), fit.b_diag_hat.tobytes(),
+        repr((fit.iterations, fit.objective, fit.grad_norm, fit.zeta1_hat)),
+    ]
+
+
+def test_one_fit_per_sample_and_config(monkeypatch):
+    # p < n, so the bootstrap's replicates run through the spied solver too
+    x = np.random.default_rng(41).standard_t(3.0, (30, 5))
+    fresh = _procedures(lambda: validate_sample(x))
+    fits = _count_fits(monkeypatch)
+    sample = validate_sample(x)
+    assert _procedures(lambda: sample) == fresh
+    assert fits == [(30, 5)]
+    assert spatial_median(sample, SolverConfig()) is spatial_median(sample)
+    assert len(fits) == 1
+    tight = spatial_median(sample, SolverConfig(tol=1e-8))
+    assert len(fits) == 2 and tight is not spatial_median(sample)
+    assert spatial_median(sample, SolverConfig(tol=1e-8)) is tight
+    assert len(sample._fits) == 2
+
+
+@pytest.mark.parametrize(
+    "x, config, error",
+    [
+        (np.random.default_rng(42).standard_normal((20, 4)), SolverConfig(max_iter=1), DidNotConverge),
+        (np.random.default_rng(42).standard_normal((20, 4)) * 1e200, None, DegenerateSample),
+    ],
+    ids=["did_not_converge", "degenerate"],
+)
+def test_failed_fit_is_not_memoised(x, config, error, monkeypatch):
+    fits = _count_fits(monkeypatch)
+    sample = validate_sample(x)
+    for attempt in (1, 2):
+        with pytest.raises(error), np.errstate(all="ignore"):
+            spatial_median(sample, config)
+        assert len(fits) == attempt
+    assert sample._fits == {}
+
+
+def test_concurrent_first_fits_share_one_memo():
+    x = np.random.default_rng(43).standard_normal((40, 6))
+    expected = spatial_median(validate_sample(x)).theta_hat.tobytes()
+    sample = validate_sample(x)
+    got = [None] * 32
+
+    def fit(i):
+        got[i] = spatial_median(sample)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bootstrap._parallel_map(fit, range(len(got)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(f.theta_hat.tobytes() == expected for f in got)
+    # every caller holds the one stored fit, none a private duplicate
+    assert len({id(f) for f in got}) == 1 and list(sample._fits.values()) == [got[0]]
+
+
+def test_memoised_fit_is_read_only():
+    fit = spatial_median(validate_sample(np.random.default_rng(44).standard_normal((12, 3))))
+    for array in (fit.theta_hat, fit.b_diag_hat):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from geomedian import (
     ScenarioSpec,
     ThetaPattern,
     ar1_shape,
+    bh_fdr,
     child_seed,
     draw,
     emit_report,
+    fdr_screen,
     global_test_mean,
     global_test_median,
     run_are,
@@ -98,6 +101,31 @@ def test_harness_agrees_with_the_inference_api():
         for row in (r for r in rows if r["kappa"] == kappa):
             verdict = tests[row["method"]](sample, np.zeros(p), row["level"], B, rep_seed)
             assert (row["size"] if kappa == 0.0 else row["power"]) == float(verdict.reject)
+
+
+def test_fdr_harness_agrees_with_the_inference_api():
+    # one replication, so each row holds that sample's proportions; the mean
+    # route's t-test p-values are recomputed here from their definition
+    seed, n, p = 31, 30, 40
+    spec = ScenarioSpec(experiment="fdr", model="laplace", n=n, p=p, replications=1,
+                        theta=ThetaPattern("ten_percent", scale=1.5), levels=(0.05, 0.3), seed=seed)
+    theta = theta_vector(spec.theta, p, n)
+    signal = theta != 0.0
+    dist = DistributionSpec("laplace", theta, ar1_shape(p, 0.0), t_mode=spec.t_mode)
+    sample = draw(dist, n, child_seed(seed, NS_HARNESS, 0))
+    x = sample.values
+    t_mean = np.sqrt(n) * x.mean(axis=0) / x.std(axis=0, ddof=1)
+    p_mean = np.array([math.erfc(abs(t) / math.sqrt(2.0)) for t in t_mean])
+    rows = run_fdr(spec).rows
+    assert len(rows) == 4
+    for row in rows:
+        if row["method"] == "median":
+            selection = fdr_screen(sample, np.zeros(p), row["level"])
+        else:
+            selection = bh_fdr(p_mean, row["level"])
+        hits = int(signal[selection.rejected].sum())
+        assert row["fdr"] == (selection.k_hat - hits) / max(selection.k_hat, 1)
+        assert row["fdr_power"] == hits / signal.sum()
 
 
 def test_bernoulli_stderr_formula():

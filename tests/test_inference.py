@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -35,6 +37,7 @@ from geomedian.errors import (
     ZeroScale,
     ZeroVariance,
 )
+from geomedian import inference
 from geomedian.estimator import _data_scale, _weiszfeld_batch
 from geomedian.inference import _two_sided_p
 
@@ -57,6 +60,31 @@ def test_sci_constant_width_and_level_check():
     assert_allclose(widths, 2.0 * result.q_boot / np.sqrt(20))
     with pytest.raises(InvalidLevel):
         sci(sample, 1.2, 50, seed=1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 1.5, -0.1])
+@pytest.mark.parametrize("procedure", ["sci", "global_test_median", "global_test_mean"])
+def test_level_is_checked_before_the_bootstrap(procedure, level, monkeypatch):
+    ran = []
+    for name in ("bootstrap_spatial_median", "bootstrap_mean"):
+        monkeypatch.setattr(inference, name, lambda *args, **kwargs: ran.append(args))
+    sample = validate_sample(np.random.default_rng(7).standard_normal((12, 3)))
+    with pytest.raises(InvalidLevel, match=re.escape(f"got {level}")):
+        if procedure == "sci":
+            sci(sample, level, 50, seed=1)
+        else:
+            getattr(inference, procedure)(sample, np.zeros(3), level, 50, 1)
+    assert ran == []
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1])
+def test_fdr_alpha_is_checked_before_the_fit(alpha, monkeypatch):
+    ran = []
+    monkeypatch.setattr(inference, "spatial_median", lambda *args, **kwargs: ran.append(args))
+    sample = validate_sample(np.random.default_rng(8).standard_normal((12, 3)))
+    with pytest.raises(InvalidAlpha, match=re.escape(f"got {alpha}")):
+        fdr_screen(sample, np.zeros(3), alpha)
+    assert ran == []
 
 
 def test_sci_quantile_matches_enumeration_for_mirror_pairs():
