@@ -13,8 +13,8 @@ Replicates are solved in fixed-size batches (a constant independent of the
 worker count) so the arithmetic performed for a given (inputs, seed) never
 depends on scheduling.  When the dimension exceeds the sample size (p > n)
 the spatial-median replicates iterate in span coordinates over the Gram
-matrix of the residuals, formed once per call; otherwise in R^p.  The choice
-depends only on the input's shape.
+matrix of the residuals, otherwise in R^p; either way the coordinates are
+built once per call.  The choice depends only on the input's shape.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -24,14 +24,7 @@ import numpy as np
 
 from .data import Sample, write_csv
 from .errors import DidNotConverge, InvalidLevel, InvalidScenario, TooFewDraws
-from .estimator import (
-    SolverConfig,
-    SpatialMedianFit,
-    _data_scale,
-    _SpanCoords,
-    _weiszfeld_batch,
-    _weiszfeld_span_batch,
-)
+from .estimator import SolverConfig, SpatialMedianFit, _PointCoords, _solve_batch, _SpanCoords
 from .streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
 # Batch of replicates solved together.  Fixed: batching must not change with
@@ -132,17 +125,14 @@ def bootstrap_spatial_median(
     """
     cfg = config or SolverConfig()
     residuals = sample.values - fit.theta_hat
-    scale = _data_scale(residuals)
     # replicates start at the origin, the center of the sign-symmetric
     # replicate law, so with p > n they can iterate in the n-dimensional span
-    # of the residuals; the Gram matrix is formed once and shared by batches
-    gram = _SpanCoords(residuals) if sample.p > sample.n else None
+    # of the residuals; the coordinates (and with them the Gram matrix) are
+    # built once and shared by the batches
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
 
     def solve(signs):
-        if gram is not None:
-            return _weiszfeld_span_batch(gram, signs, cfg, scale)[0]
-        init = np.zeros((signs.shape[0], sample.p))
-        return _weiszfeld_batch(residuals, signs, cfg, scale, init=init)[0]
+        return _solve_batch(coords, signs, cfg, np.zeros((signs.shape[0], coords.width)))[0]
 
     return _multiplier_bootstrap(
         sample, solve, NS_BOOT_MEDIAN, "spatial_median", B, seed, workers, keep_vectors

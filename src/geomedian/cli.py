@@ -239,9 +239,6 @@ def _cmd_simulate(args) -> str:
     if args.full_scale:
         spec = replace(spec, replications=2500, B=400)
     table = run_scenario(spec, workers=args.workers, include_runtime=args.timings)
-    if not args.timings:
-        for row in table.rows:
-            row["runtime_seconds"] = None
     return emit_report(table, args.format)
 
 

@@ -15,13 +15,16 @@ Vardi-Zhang anchoring).  A sweep that needs none, the usual case, takes the
 plain Weiszfeld step numer / denom without masks or blends: the value the
 general step gives at lambda = 0.
 
-The core runs in one of two representations of the iterates.  Plain points of
-R^p serve every fit.  Solves started at the origin (the bootstrap replicates)
-never leave the row span of the points, so they can instead carry
-coefficients a in R^n with beta = a @ X; the inner products then come from the
-n x n Gram matrix X X^T, and an iteration costs O(n^2) per row instead of
-O(n p).  Both share one update rule; vertex checks, distance repairs and the
-Newton finish always work on points of R^p.
+Every solve is one call of ``_solve_batch``: a fit or median-of-means is one
+row started at the coordinate-wise median, bootstrap replicates are batches
+started at the origin.  The core runs in one of two representations of the
+iterates, each built once per point set and owning the data scale the solver
+radii are relative to.  Plain points of R^p serve every fit.  Solves started
+at the origin never leave the row span of the points, so they can instead
+carry coefficients a in R^n with beta = a @ X; the inner products then come
+from the n x n Gram matrix X X^T, and an iteration costs O(n^2) per row
+instead of O(n p).  Both share one update rule; vertex checks, distance
+repairs and the Newton finish always work on points of R^p.
 """
 
 from dataclasses import dataclass
@@ -93,12 +96,19 @@ def spatial_sign(x) -> np.ndarray:
     return v / norm
 
 
+def _data_scale(values) -> float:
+    peak = float(np.abs(values).max()) if values.size else 0.0
+    return max(1.0, peak)
+
+
 class _PointCoords:
     """Batch iterates stored as vectors of R^p (the plain representation)."""
 
     def __init__(self, points):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
+        self.scale = _data_scale(self.points)
+        self.width = self.points.shape[1]
 
     def project(self, coef):
         """Inner products <beta_b, x_i> and squared norms ||beta_b||^2."""
@@ -134,6 +144,8 @@ class _SpanCoords:
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.gram = self.points @ self.points.T
         self.sq_norms = np.diagonal(self.gram).copy()
+        self.scale = _data_scale(self.points)
+        self.width = self.points.shape[0]
 
     def project(self, coef):
         """As :meth:`_PointCoords.project`, with beta_b = coef[b] @ points."""
@@ -156,51 +168,22 @@ class _SpanCoords:
         return unit
 
 
-def _weiszfeld_batch(points, signs, config, scale, collect_objective=False, init=None):
-    """Minimize sum_i ||signs[b, i] * points[i] - beta_b|| for every batch row b.
+def _solve_batch(coords, signs, config, start):
+    """Minimize sum_i ||signs[b, i] * x_i - beta_b|| for every batch row b.
 
-    Starts from the coordinate-wise median of each row's multiplied points
-    unless ``init`` supplies starting values.  Returns (beta, iterations,
-    grad_norm, objective_history); the history holds per-iteration total
-    distances when requested (meaningful for single-row batches).  Raises
-    DidNotConverge (with the offending batch row in ``replicate``) if a row
-    exhausts ``config.max_iter``.
-    """
-    coords = _PointCoords(points)
-    signs = np.ascontiguousarray(signs, dtype=np.float64)
-    if init is not None:
-        beta = np.array(init, dtype=np.float64)
-    else:
-        beta = np.empty((signs.shape[0], coords.points.shape[1]))
-        for b in range(signs.shape[0]):
-            beta[b] = np.median(signs[b, :, None] * coords.points, axis=0)
-    return _solve_batch(coords, signs, config, scale, beta, collect_objective)
-
-
-def _weiszfeld_span_batch(span, signs, config, scale):
-    """:func:`_weiszfeld_batch` from the origin, iterating in span coordinates.
-
-    ``span`` is a :class:`_SpanCoords` over the points.  Same update rule,
-    rescues and return values; the returned centers are in R^p.
-    """
-    signs = np.ascontiguousarray(signs, dtype=np.float64)
-    beta = np.zeros((signs.shape[0], span.points.shape[0]))
-    return _solve_batch(span, signs, config, scale, beta)
-
-
-def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
-    """The batched Weiszfeld / Vardi-Zhang iteration in either representation.
-
-    ``beta`` holds the starting iterates in ``coords``' representation.
-    Vertex checks, distance repairs and the Newton polish run on points of
-    R^p, mapped through ``coords.to_points``.
+    ``coords`` (:class:`_PointCoords` or :class:`_SpanCoords` over the x_i)
+    carries the data scale; ``start`` holds the starting iterates in its
+    representation, ``coords.width`` wide, and is not modified.  Vertex
+    checks, distance repairs and the Newton polish run on points of R^p.
+    Returns (centers in R^p, iterations, grad_norm).
 
     Each sweep takes the row minima of the (rows x n) distance matrix once,
     and they open the rescue paths:
 
     - below the repair floor: the entries under it are recomputed directly;
     - below 0.02 * scale, every 4th sweep: the nearest point is tested for
-      optimality and the row snaps to it if it is the minimizer;
+      optimality and the row snaps to it if it is the minimizer, keeping the
+      test's distances from it;
     - at or below the anchor radius, in any row: the whole sweep takes the
       Vardi-Zhang step, weighting out coincident points and blending with
       lambda = min(1, eta / ||R||).
@@ -213,7 +196,9 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
     """
     points = coords.points
     sq_norms = coords.sq_norms
+    scale = coords.scale
     n, p = points.shape
+    beta = np.array(start, dtype=np.float64)
     m = signs.shape[0]
     eps_anchor = config.anchor_eps * scale
     repair_floor = max(_REPAIR_REL * scale, eps_anchor)
@@ -223,10 +208,10 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
     grad_norm = np.zeros(m)
     active = np.ones(m, dtype=bool)
     polished = {}  # row -> center in R^p, set by the Newton finish
-    history: list[float] = []
 
     def vertex_solution(row, k):
-        """If multiplied point k is the minimizer for batch row, return it.
+        """If multiplied point k is the minimizer for batch row, return it and
+        the row's distances from it.
 
         A data point is optimal exactly when the summed directions of the
         other points, evaluated at it, have norm at most its multiplicity.
@@ -239,7 +224,7 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
         at_vertex = dnorm <= eps_anchor
         pull = (diff[~at_vertex] / dnorm[~at_vertex, None]).sum(axis=0)
         if np.linalg.norm(pull) <= at_vertex.sum():
-            return vertex
+            return vertex, dnorm
         return None
 
     def newton_polish(row, start):
@@ -263,7 +248,7 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
             if d.min() <= eps_anchor:
                 snapped = vertex_solution(row, int(d.argmin()))
                 if snapped is not None:
-                    return snapped, 0.0
+                    return snapped[0], 0.0
                 return None
             w = 1.0 / d
             grad = -(w[:, None] * diff).sum(axis=0)
@@ -336,12 +321,8 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
                 if snapped is not None:
                     ba[j] = coords.vertex(k, za[j, k])
                     sq[j] = sq_norms[k]
-                    diff = za[j][:, None] * points - snapped
-                    dist[j] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                    dist[j] = snapped[1]
                     row_min[j] = dist[j].min()
-
-        if collect_objective:
-            history.append(float(dist[0].sum()))
 
         if (row_min > eps_anchor).all():
             # no point coincides with any iterate: every weight is positive
@@ -394,12 +375,22 @@ def _solve_batch(coords, signs, config, scale, beta, collect_objective=False):
     beta = coords.to_points(beta)
     for row, center in polished.items():
         beta[row] = center
-    return beta, iterations, grad_norm, history
+    return beta, iterations, grad_norm
 
 
-def _data_scale(values) -> float:
-    peak = float(np.abs(values).max()) if values.size else 0.0
-    return max(1.0, peak)
+def _fit_center(points, config):
+    """Spatial median of the rows of ``points``, from their coordinate-wise median.
+
+    Returns (center, iterations, data scale).  Out of iterations, it raises
+    DidNotConverge without a replicate index: a fit is no bootstrap replicate.
+    """
+    coords = _PointCoords(points)
+    start = np.median(coords.points, axis=0)[None, :]
+    try:
+        beta, iters, _ = _solve_batch(coords, np.ones((1, coords.points.shape[0])), config, start)
+    except DidNotConverge as err:
+        raise DidNotConverge(err.iterations, err.grad_norm) from None
+    return beta[0], int(iters[0]), coords.scale
 
 
 def spatial_median(sample: Sample, config: SolverConfig | None = None) -> SpatialMedianFit:
@@ -421,11 +412,7 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
     if memo is not None:
         return memo
     x = sample.values
-    n, p = x.shape
-    scale = _data_scale(x)
-    ones = np.ones((1, n))
-    beta, iters, _, _ = _weiszfeld_batch(x, ones, cfg, scale)
-    theta = beta[0]
+    theta, iterations, scale = _fit_center(x, cfg)
 
     residuals = x - theta
     norms = np.linalg.norm(residuals, axis=1)
@@ -439,13 +426,13 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
     else:
         grad = 0.0
         zeta1 = float("nan")
-        b_diag = np.full(p, np.nan)
+        b_diag = np.full(sample.p, np.nan)
     objective = float(norms.sum() - np.linalg.norm(x, axis=1).sum())
     theta.flags.writeable = False
     b_diag.flags.writeable = False
     fit = SpatialMedianFit(
         theta_hat=theta,
-        iterations=int(iters[0]),
+        iterations=iterations,
         objective=objective,
         grad_norm=grad,
         zeta1_hat=zeta1,
@@ -467,9 +454,7 @@ def gmom(sample: Sample, k_blocks: int, config: SolverConfig | None = None, seed
     cfg = config or SolverConfig()
     perm = substream(seed, NS_BLOCKS).permutation(n)
     means = np.stack([sample.values[rows].mean(axis=0) for rows in np.array_split(perm, k_blocks)])
-    scale = _data_scale(means)
-    beta, _, _, _ = _weiszfeld_batch(means, np.ones((1, k_blocks)), cfg, scale)
-    return beta[0]
+    return _fit_center(means, cfg)[0]
 
 
 def bahadur_remainder(sample: Sample, theta_true, fit: SpatialMedianFit) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .bootstrap import _parallel_map
 from .data import ar1_shape
 from .errors import GeomedianError, InvalidScenario
-from .estimator import SolverConfig, spatial_median
+from .estimator import spatial_median
 from .inference import (
     METHOD_CQ,
     METHOD_MEAN,
@@ -226,7 +226,6 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     start = time.perf_counter()
     theta = theta_vector(spec.theta, spec.p, spec.n)
     dist = _distribution(spec, theta)
-    cfg = SolverConfig()
     m, n_levels = spec.replications, len(spec.levels)
     root_n = np.sqrt(spec.n)
     covered = np.zeros((m, n_levels, 2), dtype=bool)
@@ -236,7 +235,7 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
         rep_seed = child_seed(spec.seed, NS_HARNESS, r)
         sample = draw(dist, spec.n, rep_seed)
         for mi, method in enumerate(_SCI_METHODS):
-            center, draws = _calibrate(sample, method, spec.B, rep_seed, cfg)
+            center, draws = _calibrate(sample, method, spec.B, rep_seed)
             err = np.abs(center - theta).max()
             for li, level in enumerate(spec.levels):
                 q = _sci_result(center, draws, level, method).q_boot
@@ -284,7 +283,6 @@ def run_size_power(
     unknown = set(methods) - {METHOD_MEDIAN, METHOD_MEAN, *_NORMAL_TESTS}
     if unknown:
         raise InvalidScenario(f"unknown test methods {sorted(unknown)}")
-    cfg = SolverConfig()
     theta0 = np.zeros(spec.p)
     m, n_levels = spec.replications, len(spec.levels)
     reject = {meth: np.zeros((len(grid), m, n_levels), dtype=bool) for meth in methods}
@@ -301,7 +299,7 @@ def run_size_power(
                 if meth in _NORMAL_TESTS:
                     verdicts = [_NORMAL_TESTS[meth](sample, theta0, tau) for tau in spec.levels]
                 else:
-                    center, draws = _calibrate(sample, meth, spec.B, rep_seed, cfg)
+                    center, draws = _calibrate(sample, meth, spec.B, rep_seed)
                     verdicts = [_test_result(center, draws, theta0, tau, meth) for tau in spec.levels]
                 reject[meth][ki, r] = [v.reject for v in verdicts]
 
@@ -340,7 +338,6 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
     signal = theta != 0.0
     n_signal = int(signal.sum())
     dist = _distribution(spec, theta)
-    cfg = SolverConfig()
     theta0 = np.zeros(spec.p)
     m, n_levels = spec.replications, len(spec.levels)
     fdp = np.zeros((m, n_levels, 2))
@@ -359,7 +356,7 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
         sample = draw(dist, spec.n, rep_seed)
         # the sample memoises its fit, so levels after the first re-solve nothing
         for li, alpha in enumerate(spec.levels):
-            fdp[r, li, 0], tpp[r, li, 0] = proportions(fdr_screen(sample, theta0, alpha, cfg))
+            fdp[r, li, 0], tpp[r, li, 0] = proportions(fdr_screen(sample, theta0, alpha))
         pv_mean = _mean_t_p_values(sample, theta0)
         for li, alpha in enumerate(spec.levels):
             fdp[r, li, 1], tpp[r, li, 1] = proportions(bh_fdr(pv_mean, alpha))
@@ -417,7 +414,6 @@ def run_are(
         raise InvalidScenario("relative-efficiency runs need n >= 2 (variance of a single estimate is undefined)")
     if spec.replications < 2:
         raise InvalidScenario("relative-efficiency runs need >= 2 replications")
-    cfg = SolverConfig()
     m = spec.replications
     table = MetricsTable()
     for ni, n in enumerate(n_values):
@@ -430,7 +426,7 @@ def run_are(
             def one(r, ni=ni, pi=pi, n=n, dist=dist, theta=theta, med_stat=med_stat, mean_stat=mean_stat):
                 rep_seed = child_seed(spec.seed, NS_HARNESS, ni, pi, r)
                 sample = draw(dist, n, rep_seed)
-                fit = spatial_median(sample, cfg)
+                fit = spatial_median(sample)
                 med_stat[r] = np.abs(fit.theta_hat - theta).max()
                 mean_stat[r] = np.abs(sample.values.mean(axis=0) - theta).max()
 

@@ -28,7 +28,7 @@ from geomedian import (
     write_csv,
 )
 from geomedian.cli import main as cli_main
-from geomedian.estimator import SolverConfig, _data_scale, _weiszfeld_batch
+from geomedian.estimator import SolverConfig, _PointCoords, _solve_batch
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.data import ar1_shape
 
@@ -202,9 +202,7 @@ def test_criterion_09_bootstrap_enumeration_oracle():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(8)
-    beta, _, _, _ = _weiszfeld_batch(
-        residuals, signs, SolverConfig(), _data_scale(residuals), init=np.zeros((256, 2))
-    )
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((256, 2)))
     exact = np.sort(np.sqrt(8.0) * np.abs(beta).max(axis=1))
     iqr = float(np.quantile(exact, 0.75) - np.quantile(exact, 0.25))
     draws = bootstrap_spatial_median(sample, fit, 10000, seed=77)

@@ -15,13 +15,7 @@ from geomedian import (
 from geomedian.bootstrap import BootstrapDraws
 from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, TooFewDraws
-from geomedian.estimator import (
-    _data_scale,
-    _PointCoords,
-    _SpanCoords,
-    _weiszfeld_batch,
-    _weiszfeld_span_batch,
-)
+from geomedian.estimator import _PointCoords, _solve_batch, _SpanCoords
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
@@ -48,9 +42,7 @@ def test_mirror_pair_two_point_law_by_enumeration():
     r = np.array([0.7, -0.3])
     residuals = np.stack([r, -r])
     signs = all_sign_patterns(2)
-    beta, _, _, _ = _weiszfeld_batch(
-        residuals, signs, SolverConfig(), _data_scale(residuals), init=np.zeros((4, 2))
-    )
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((4, 2)))
     stats = np.sqrt(2.0) * np.abs(beta).max(axis=1)
     assert_allclose(np.sort(stats), [0.0, 0.0, np.sqrt(2) * 0.7, np.sqrt(2) * 0.7], atol=1e-12)
 
@@ -68,9 +60,7 @@ def test_spatial_median_bootstrap_matches_enumeration_small_case():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(6)
-    beta, _, _, _ = _weiszfeld_batch(
-        residuals, signs, SolverConfig(), _data_scale(residuals), init=np.zeros((64, 2))
-    )
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((64, 2)))
     exact = np.sqrt(6.0) * np.abs(beta).max(axis=1)
     draws = bootstrap_spatial_median(sample, fit, 4000, seed=33)
     assert ks_distance(draws.stats, exact) < 0.05
@@ -177,13 +167,13 @@ def _check_sign_flip_closure(p):
     residuals = sample.values - fit.theta_hat
     signs = rademacher(11, NS_BOOT_MEAN, 0, 8, 10)
     cfg = SolverConfig()
-    scale = _data_scale(residuals)
-    beta_a, _, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((8, p)))
-    beta_b, _, _, _ = _weiszfeld_batch(-residuals, -signs, cfg, scale, init=np.zeros((8, p)))
+    n = residuals.shape[0]
+    beta_a, _, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((8, p)))
+    beta_b, _, _ = _solve_batch(_PointCoords(-residuals), -signs, cfg, np.zeros((8, p)))
     assert np.array_equal(beta_a, beta_b)
-    if p > residuals.shape[0]:
-        span_a, _, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
-        span_b, _, _, _ = _weiszfeld_span_batch(_SpanCoords(-residuals), -signs, cfg, scale)
+    if p > n:
+        span_a, _, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((8, n)))
+        span_b, _, _ = _solve_batch(_SpanCoords(-residuals), -signs, cfg, np.zeros((8, n)))
         assert np.array_equal(span_a, span_b)
 
 
@@ -200,9 +190,8 @@ def test_span_solve_matches_point_solve(model, df, rho):
     residuals = sample.values - fit.theta_hat
     signs = rademacher(5, NS_BOOT_MEDIAN, 0, B, n)
     cfg = SolverConfig()
-    scale = _data_scale(residuals)
-    span_beta, span_iters, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
-    point_beta, point_iters, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((B, p)))
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((B, n)))
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((B, p)))
     assert np.array_equal(span_iters, point_iters)
     span_stats = np.sqrt(n) * np.abs(span_beta).max(axis=1)
     assert_allclose(span_stats, np.sqrt(n) * np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
@@ -232,9 +221,8 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
         monkeypatch.setattr(_SpanCoords, name, spy)
 
     cfg = SolverConfig()
-    scale = _data_scale(residuals)
-    span_beta, span_iters, _, _ = _weiszfeld_span_batch(_SpanCoords(residuals), signs, cfg, scale)
-    point_beta, point_iters, _, _ = _weiszfeld_batch(residuals, signs, cfg, scale, init=np.zeros((64, p)))
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((64, n)))
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((64, p)))
     assert calls["vertex"] > 0  # vertex snaps
     assert calls["to_points"] > 1  # repairs, besides the final mapping
     assert span_iters.max() < 256  # no Newton polish involved
@@ -287,12 +275,8 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     monkeypatch.setattr(coords, "vertex", vertex_spy)
     monkeypatch.setattr(coords, "to_points", to_points_spy)
 
-    cfg = SolverConfig()
-    scale = _data_scale(points)
-    if coords is _SpanCoords:
-        beta, iters, _, _ = _weiszfeld_span_batch(_SpanCoords(points), signs, cfg, scale)
-    else:
-        beta, iters, _, _ = _weiszfeld_batch(points, signs, cfg, scale, init=np.zeros((m, 3)))
+    solver = coords(points)
+    beta, iters, _ = _solve_batch(solver, signs, SolverConfig(), np.zeros((m, solver.width)))
 
     rows = [size for size, _ in sweeps]
     assert rows[0] == m and min(rows) < m  # all-active sweeps, then compacted ones

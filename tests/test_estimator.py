@@ -17,7 +17,7 @@ from geomedian import (
 )
 from geomedian import bootstrap, estimator
 from geomedian.errors import DegenerateRemainder, DegenerateSample, DidNotConverge, InvalidScenario
-from geomedian.estimator import _data_scale, _weiszfeld_batch
+from geomedian.estimator import _fit_center, _PointCoords
 from geomedian.streams import NS_BLOCKS, substream
 
 from _oracles import is_distance_sum_minimizer, nested_grid_minimizer, subgradient_minimizer
@@ -84,12 +84,20 @@ def test_estimating_equation_residual_bound():
             assert fit.grad_norm <= n * 1e-7
 
 
-def test_objective_monotone_across_iterations():
+def test_objective_monotone_across_iterations(monkeypatch):
     rng = np.random.default_rng(2)
     points = rng.standard_normal((40, 3))
-    _, _, _, history = _weiszfeld_batch(
-        points, np.ones((1, 40)), SolverConfig(), _data_scale(points), collect_objective=True
-    )
+    iterates = []
+    project = _PointCoords.project
+
+    def spy(self, coef):
+        # one call per sweep, on the iterate the sweep starts from
+        iterates.append(coef[0].copy())
+        return project(self, coef)
+
+    monkeypatch.setattr(_PointCoords, "project", spy)
+    _fit_center(points, SolverConfig())
+    history = [np.linalg.norm(points - beta, axis=1).sum() for beta in iterates]
     assert len(history) >= 2
     diffs = np.diff(np.asarray(history))
     assert (diffs <= 1e-9).all()
@@ -208,17 +216,14 @@ def test_bahadur_remainder_finite_on_gaussian_sample():
 
 
 def _count_fits(monkeypatch):
-    """Spy on the batched solver; a call without ``init`` is a spatial-median fit
-    (bootstrap replicates start from ``init``)."""
+    """Spy on the single-problem solve behind every spatial-median fit."""
     fits = []
 
-    def spy(*args, **kwargs):
-        if kwargs.get("init") is None:
-            fits.append(args[0].shape)
-        return _weiszfeld_batch(*args, **kwargs)
+    def spy(points, config):
+        fits.append(points.shape)
+        return _fit_center(points, config)
 
-    monkeypatch.setattr(estimator, "_weiszfeld_batch", spy)
-    monkeypatch.setattr(bootstrap, "_weiszfeld_batch", spy)
+    monkeypatch.setattr(estimator, "_fit_center", spy)
     return fits
 
 
@@ -236,7 +241,6 @@ def _procedures(take):
 
 
 def test_one_fit_per_sample_and_config(monkeypatch):
-    # p < n, so the bootstrap's replicates run through the spied solver too
     x = np.random.default_rng(41).standard_t(3.0, (30, 5))
     fresh = _procedures(lambda: validate_sample(x))
     fits = _count_fits(monkeypatch)
@@ -267,6 +271,26 @@ def test_failed_fit_is_not_memoised(x, config, error, monkeypatch):
             spatial_median(sample, config)
         assert len(fits) == attempt
     assert sample._fits == {}
+
+
+@pytest.mark.parametrize(
+    "solve, names_replicate",
+    [
+        (lambda sample, cfg: spatial_median(sample, cfg), False),
+        (lambda sample, cfg: gmom(sample, 5, cfg), False),
+        (lambda sample, cfg: bootstrap.bootstrap_spatial_median(sample, spatial_median(sample), 64, 3, cfg), True),
+    ],
+    ids=["fit", "gmom", "bootstrap"],
+)
+def test_did_not_converge_names_a_replicate_only_in_the_bootstrap(solve, names_replicate):
+    sample = validate_sample(np.random.default_rng(42).standard_normal((20, 4)))
+    with pytest.raises(DidNotConverge) as info:
+        solve(sample, SolverConfig(max_iter=1))
+    if names_replicate:
+        assert isinstance(info.value.replicate, int) and 0 <= info.value.replicate < 64
+        assert f"(bootstrap replicate {info.value.replicate})" in str(info.value)
+    else:
+        assert info.value.replicate is None and "replicate" not in str(info.value)
 
 
 def test_concurrent_first_fits_share_one_memo():

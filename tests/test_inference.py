@@ -38,7 +38,7 @@ from geomedian.errors import (
     ZeroVariance,
 )
 from geomedian import inference
-from geomedian.estimator import _data_scale, _weiszfeld_batch
+from geomedian.estimator import _PointCoords, _solve_batch
 from geomedian.inference import _two_sided_p
 
 from _oracles import all_sign_patterns, are_gaussian_even_p
@@ -94,9 +94,7 @@ def test_sci_quantile_matches_enumeration_for_mirror_pairs():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(4)
-    beta, _, _, _ = _weiszfeld_batch(
-        residuals, signs, SolverConfig(), _data_scale(residuals), init=np.zeros((16, 2))
-    )
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((16, 2)))
     exact = np.sort(2.0 * np.abs(beta).max(axis=1))
     exact_q90 = exact[int(np.ceil(0.9 * 16)) - 1]
     draws = bootstrap_spatial_median(sample, fit, 8000, seed=4)

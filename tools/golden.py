@@ -18,8 +18,9 @@ The corpus:
   csv and json for coverage (p > n and p < n), size_power with all four
   tests, fdr and are.  An entry hashes the exit code, stdout and stderr, so
   a changed error is a changed digest.
-- ``solver/...``: fits, gmom, both bootstraps and direct batched solves (R^p
-  and span coordinates) on small inputs that reach every solver rescue.
+- ``solver/...``: fits, gmom, both bootstraps and direct batched solves
+  (``_solve_batch`` from the origin, in R^p and in span coordinates) on small
+  inputs that reach every solver rescue.
 - ``scale/...``: a fit and intervals on one sample scaled and shifted to
   extreme magnitudes.
 - ``highdim/...``: a global test then intervals on one sample at n = 100,
@@ -188,11 +189,8 @@ def solver_entries():
     for name, x in _solver_inputs().items():
         sample = validate_sample(x)
         n, p = x.shape
-        scale = estimator._data_scale(x)
         yield f"solver/spatial_median/{name}", _entry(lambda: _fit_parts(estimator.spatial_median(sample)))
         yield f"solver/gmom/{name}", _entry(lambda: (estimator.gmom(sample, min(4, n), seed=7),))
-        yield f"solver/objective_history/{name}", _entry(lambda: estimator._weiszfeld_batch(
-            x, np.ones((1, n)), cfg, scale, collect_objective=True)[1:])
         yield f"solver/bootstrap_mean/{name}", _entry(
             lambda: _draws_parts(bootstrap.bootstrap_mean(sample, 64, 8, keep_vectors=True)))
         try:
@@ -203,12 +201,11 @@ def solver_entries():
             yield f"solver/bootstrap_median_B{B}/{name}", _entry(lambda: _draws_parts(
                 bootstrap.bootstrap_spatial_median(sample, fit, B, 8, keep_vectors=True, workers=2)))
         residuals = x - fit.theta_hat
-        res_scale = estimator._data_scale(residuals)
         signs = np.where(np.random.default_rng(9).random((48, n)) < 0.5, -1.0, 1.0)
-        yield f"solver/batch_point/{name}", _entry(lambda: estimator._weiszfeld_batch(
-            residuals, signs, cfg, res_scale, init=np.zeros((48, p)))[:3])
-        yield f"solver/batch_span/{name}", _entry(lambda: estimator._weiszfeld_span_batch(
-            estimator._SpanCoords(residuals), signs, cfg, res_scale)[:3])
+        yield f"solver/batch_point/{name}", _entry(lambda: estimator._solve_batch(
+            estimator._PointCoords(residuals), signs, cfg, np.zeros((48, p))))
+        yield f"solver/batch_span/{name}", _entry(lambda: estimator._solve_batch(
+            estimator._SpanCoords(residuals), signs, cfg, np.zeros((48, n))))
 
 
 def scale_entries():
