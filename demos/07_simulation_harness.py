@@ -1,11 +1,12 @@
 """Declarative Monte Carlo experiments with bitwise-reproducible reports.
 
 A scenario is plain JSON: distribution, shape, center pattern, sizes,
-replication counts, seed.  The harness derives one substream per replication
-(and further streams for data and bootstrap), so the numbers below come
-out identical on every rerun and any worker count.  This is a miniature of
-the coverage benchmark; scale `replications`/`B` up to 2500/400 to reproduce
-reference-quality tables.
+replication counts, seed.  The harness derives one seed per replication;
+each replication draws its sample from two streams of that seed (the
+coordinates, and the Student-t mixing variates) and its bootstrap signs from
+further ones, so the numbers below come out identical on every rerun and any
+worker count.  This is a miniature of the coverage benchmark; scale
+`replications`/`B` up to 2500/400 to reproduce reference-quality tables.
 """
 
 import json

@@ -258,6 +258,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise _UsageError("--workers must be >= 1")
         text = _COMMANDS[args.subcommand](args)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")

@@ -6,11 +6,12 @@ matrix that drives the dependence structure of the synthetic-data generators;
 it is normalized so that its trace equals the dimension.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidRho, NonFiniteEntry, NotPSD
+from .errors import EmptyInput, InvalidDf, InvalidRho, NonFiniteEntry, NotPSD
 
 _SYM_RTOL = 1e-12
 _TRACE_RTOL = 1e-8
@@ -69,6 +70,12 @@ def validate_vector(coords, p: int | None = None) -> np.ndarray:
     if p is not None and v.size != p:
         raise EmptyInput(f"expected a vector of length {p}, got {v.size}")
     return v
+
+
+def validate_df(df: float | None) -> None:
+    """Reject Student-t degrees of freedom that are missing, non-finite or <= 2."""
+    if df is None or not math.isfinite(df) or df <= 2:
+        raise InvalidDf(f"degrees of freedom must be finite and exceed 2, got {df}")
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ class ZeroVariance(GeomedianError):
 
 
 class InvalidDf(GeomedianError):
-    """Raised when Student-t degrees of freedom are not > 2."""
+    """Raised when Student-t degrees of freedom are not finite and > 2."""
 
 
 class PatternTooLarge(GeomedianError):

@@ -123,6 +123,8 @@ class ScenarioSpec:
             raise InvalidScenario("B must be >= 1")
         if not self.levels or not all(0.0 < lv < 1.0 for lv in self.levels):
             raise InvalidScenario("levels must all lie in (0, 1)")
+        if self.workers < 1:
+            raise InvalidScenario("workers must be >= 1")
 
     def label(self) -> str:
         if self.name:

@@ -20,12 +20,11 @@ from .bootstrap import (
     conditional_variance,
     quantile,
 )
-from .data import Sample, validate_vector
+from .data import Sample, validate_df, validate_vector
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
     InvalidAlpha,
-    InvalidDf,
     InvalidLevel,
     InvalidScenario,
     TooFewDraws,
@@ -450,10 +449,10 @@ def _log_half_gamma_ratio(x: float) -> float:
 def are_analytic(model: str, p: int, df: float | None = None) -> float:
     """Closed-form large-p efficiency ratio for spherical reference models.
 
-    ``model`` is "gaussian" or "student_t" (the latter needs df > 2).  The
-    Gaussian ratio p Gamma((p-1)/2)^2 / (2 Gamma(p/2)^2) is exp(2 S(p/2)) with
-    S = :func:`_log_half_gamma_ratio`; the Student-t ratio multiplies it by
-    2 Gamma((df+1)/2)^2 / ((df-2) Gamma(df/2)^2).
+    ``model`` is "gaussian" or "student_t" (the latter needs a finite
+    df > 2).  The Gaussian ratio p Gamma((p-1)/2)^2 / (2 Gamma(p/2)^2) is
+    exp(2 S(p/2)) with S = :func:`_log_half_gamma_ratio`; the Student-t
+    ratio multiplies it by 2 Gamma((df+1)/2)^2 / ((df-2) Gamma(df/2)^2).
     """
     if p < 2:
         raise InvalidScenario("p must be >= 2")
@@ -461,8 +460,7 @@ def are_analytic(model: str, p: int, df: float | None = None) -> float:
     if model == "gaussian":
         return math.exp(log_core)
     if model == "student_t":
-        if df is None or df <= 2:
-            raise InvalidDf(f"degrees of freedom must exceed 2, got {df}")
+        validate_df(df)
         log_t = math.log((df + 1.0) / (df - 2.0)) - 2.0 * _log_half_gamma_ratio((df + 1.0) / 2.0)
         return math.exp(log_core + log_t)
     raise InvalidScenario(f"unknown model {model!r}")

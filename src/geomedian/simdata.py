@@ -6,16 +6,20 @@ covariance: independent Gaussian coordinates, a multivariate Student-t
 (parameterized by its covariance, hence mixed with a (df-2)/df rescale), and
 independent unit-variance Laplace coordinates.
 
-Each observation row draws from its own substream keyed by (seed, row), so
-enlarging n extends a sample instead of reshuffling it.
+A :func:`draw` call opens two streams keyed by the seed: the n x p
+coordinates come from one generator in row order and the Student-t mixing
+variates from a second one, one per row.  So row i depends only on (seed, i)
+for a given model and p, and enlarging n extends a sample instead of
+reshuffling it.  (The rotation by a non-identity shape root is one matrix
+product, whose last-bit rounding can depend on n at larger p.)
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, ShapeMatrix, symmetric_sqrt, validate_sample, validate_vector
-from .errors import InvalidDf, InvalidScenario, PatternTooLarge
+from .data import Sample, ShapeMatrix, symmetric_sqrt, validate_df, validate_sample, validate_vector
+from .errors import InvalidScenario, PatternTooLarge
 from .streams import NS_DATA, substream
 
 MODEL_GAUSSIAN = "gaussian"
@@ -53,8 +57,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidScenario(f"unknown model {self.model!r}")
-        if self.model == MODEL_STUDENT_T and (self.df is None or self.df <= 2):
-            raise InvalidDf(f"degrees of freedom must exceed 2, got {self.df}")
+        if self.model == MODEL_STUDENT_T:
+            validate_df(self.df)
         if self.t_mode not in (T_MODE_COVARIANCE, T_MODE_SCALE):
             raise InvalidScenario(f"unknown t parameterization {self.t_mode!r}")
         theta = validate_vector(self.theta)
@@ -74,26 +78,29 @@ class DistributionSpec:
 
 
 def draw(spec: DistributionSpec, n: int, seed: int) -> Sample:
-    """Generate n observation rows from ``spec``, deterministically in ``seed``."""
+    """Generate n observation rows from ``spec``, deterministically in ``seed``.
+
+    The call opens two streams: ``substream(seed, NS_DATA, 0)`` fills the
+    n x p coordinates row by row, and for the Student-t model
+    ``substream(seed, NS_DATA, 1)`` draws one chi-square mixing variate per
+    row.  numpy fills both in order, so the first k rows of an n-row draw are
+    the k-row draw.
+    """
     if n < 1:
         raise InvalidScenario("n must be >= 1")
     p = spec.theta.size
 
-    core = np.empty((n, p))
-    for i in range(n):
-        rng = substream(seed, NS_DATA, i)
-        if spec.model == MODEL_GAUSSIAN:
-            core[i] = rng.standard_normal(p)
-        elif spec.model == MODEL_STUDENT_T:
-            z = rng.standard_normal(p)
-            mix = rng.chisquare(spec.df)
-            core[i] = z / np.sqrt(mix / spec.df)
-        else:
-            core[i] = rng.laplace(0.0, _LAPLACE_SCALE, p)
-    if spec.model == MODEL_STUDENT_T and spec.t_mode == T_MODE_COVARIANCE:
-        # the mixing divisor inflates the scale matrix by df/(df-2); shrink
-        # the square root so the supplied matrix is the covariance
-        core *= np.sqrt((spec.df - 2.0) / spec.df)
+    if spec.model == MODEL_LAPLACE:
+        core = substream(seed, NS_DATA, 0).laplace(0.0, _LAPLACE_SCALE, (n, p))
+    else:
+        core = substream(seed, NS_DATA, 0).standard_normal((n, p))
+    if spec.model == MODEL_STUDENT_T:
+        mix = substream(seed, NS_DATA, 1).chisquare(spec.df, n)
+        core /= np.sqrt(mix / spec.df)[:, None]
+        if spec.t_mode == T_MODE_COVARIANCE:
+            # the mixing divisor inflates the scale matrix by df/(df-2); shrink
+            # the square root so the supplied matrix is the covariance
+            core *= np.sqrt((spec.df - 2.0) / spec.df)
     if not spec._root_is_identity:
         core = core @ spec._root
     return validate_sample(spec.theta[None, :] + core)

@@ -1,13 +1,13 @@
 """Deterministic counter-based random streams.
 
 Every random draw is keyed by ``(seed, namespace, *indices)``, so the stream
-assigned to a unit of work (a bootstrap replicate, an observation row, a Monte
+assigned to a unit of work (a bootstrap replicate, a synthetic sample, a Monte
 Carlo replication) depends only on its key and never on execution order or
 worker count.  Two entry points produce them:
 
 * :func:`substream` returns a Philox generator keyed through
-  ``numpy.random.SeedSequence`` spawn keys; data rows, block permutations and
-  the harness use it.
+  ``numpy.random.SeedSequence`` spawn keys; synthetic samples (two streams
+  per draw), block permutations and the harness use it.
 * :func:`rademacher` draws the bootstrap's sign multipliers for a whole batch
   of replicates in one vectorised Philox4x64-10 evaluation (Salmon et al.
   2011, "Parallel random numbers: as easy as 1, 2, 3"), keyed once by
@@ -21,7 +21,7 @@ streams: a sample generated with seed ``s`` and a bootstrap run with the same
 import numpy as np
 
 # Stream namespaces.  One per consumer of a user-facing seed.
-NS_DATA = 0          # synthetic observation rows
+NS_DATA = 0          # synthetic samples: coordinates and Student-t mixing
 NS_BOOT_MEDIAN = 1   # multiplier bootstrap replicates, spatial-median target
 NS_BOOT_MEAN = 2     # multiplier bootstrap replicates, mean target
 NS_BLOCKS = 3        # block partitioning for median-of-means

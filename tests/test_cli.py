@@ -115,6 +115,15 @@ def test_unknown_flags_and_bad_usage_exit_one(tmp_path, capsys):
     assert main(["sci", "--in", data, "--seed", "1", "--format", "yaml"]) == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    data = _write_sample(tmp_path)
+    assert main(["sci", "--in", data, "--seed", "1", "--boot", "50", "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --workers must be >= 1\n"
+
+
 def test_computation_error_exits_two_with_json(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\nnan,4.0\n")

@@ -286,3 +286,9 @@ def test_scenario_validation():
         ScenarioSpec(experiment="coverage", levels=(1.5,))
     with pytest.raises(InvalidScenario):
         ScenarioSpec(experiment="nope")
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_scenario_rejects_workers_below_one(workers):
+    with pytest.raises(InvalidScenario, match="workers must be >= 1"):
+        _coverage_spec(workers=workers)

@@ -413,8 +413,10 @@ def test_are_analytic_gaussian_decreases_to_its_limit():
 
 
 def test_are_analytic_rejects_bad_df():
-    with pytest.raises(InvalidDf):
-        are_analytic("student_t", 100, df=2.0)
+    # nan and inf would otherwise return nan silently
+    for df in (2.0, np.nan, np.inf):
+        with pytest.raises(InvalidDf, match="finite and exceed 2"):
+            are_analytic("student_t", 100, df=df)
 
 
 def test_result_json_shapes():

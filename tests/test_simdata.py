@@ -7,6 +7,7 @@ from geomedian.errors import InvalidDf, InvalidScenario, PatternTooLarge
 from geomedian import simdata
 from geomedian.data import symmetric_sqrt
 from geomedian.simdata import T_MODE_SCALE
+from geomedian.streams import substream
 
 
 def _spec(model, p, rho=0.0, df=None, theta=None, **kw):
@@ -23,11 +24,48 @@ def test_draw_reproducible_bitwise():
     assert not np.array_equal(a, c)
 
 
+_MODELS = [
+    ("gaussian", None, {}),
+    ("student_t", 3.0, {}),
+    ("student_t", 3.0, {"t_mode": T_MODE_SCALE}),
+    ("laplace", None, {}),
+]
+
+
 def test_growing_n_extends_rather_than_reshuffles():
-    spec = _spec("laplace", 3, rho=0.5)
-    short = draw(spec, 20, seed=3).values
-    long = draw(spec, 50, seed=3).values
-    assert np.array_equal(long[:20], short)
+    # the AR(1) rotation is one gemm whose last-bit rounding can depend on n
+    # at larger p, so rho > 0 is checked only at small p
+    for model, df, kw in _MODELS:
+        for p, rho in ((100, 0.0), (3, 0.5)):
+            spec = _spec(model, p, rho=rho, df=df, **kw)
+            short = draw(spec, 20, seed=3).values
+            long = draw(spec, 50, seed=3).values
+            assert np.array_equal(long[:20], short), (model, kw, p, rho)
+
+
+def test_student_t_rows_share_one_mixing_divisor():
+    # the t rows are the Gaussian rows of the same seed, each divided by its
+    # own mixing divisor; t / z re-rounds that quotient, hence the 1e-15
+    t = draw(_spec("student_t", 8, df=3.0, t_mode=T_MODE_SCALE), 40, seed=9).values
+    z = draw(_spec("gaussian", 8), 40, seed=9).values
+    ratio = t / z
+    assert_allclose(ratio, np.repeat(ratio[:, :1], 8, axis=1), rtol=1e-15, atol=0.0)
+    assert np.unique(ratio[:, 0]).size == 40
+
+
+@pytest.mark.parametrize("n", [1, 100, 1000])
+def test_draw_opens_at_most_two_substreams(monkeypatch, n):
+    keys = []
+
+    def spy(seed, *path):
+        keys.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(simdata, "substream", spy)
+    for model, df, kw in _MODELS:
+        keys.clear()
+        draw(_spec(model, 5, df=df, **kw), n, seed=2)
+        assert len(keys) <= 2
 
 
 def test_identity_shape_skips_the_square_root(monkeypatch):
@@ -91,9 +129,11 @@ def test_spatial_signs_center_at_zero_for_elliptical_models():
 
 def test_student_t_requires_valid_df():
     with pytest.raises(InvalidDf):
-        _spec("student_t", 3, df=2.0)
-    with pytest.raises(InvalidDf):
         _spec("student_t", 3)
+    # a non-finite df is the caller's error, not a non-finite sample entry
+    for df in (2.0, np.nan, np.inf):
+        with pytest.raises(InvalidDf, match="finite and exceed 2"):
+            _spec("student_t", 3, df=df)
 
 
 def test_unknown_model_and_mismatched_theta():

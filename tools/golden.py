@@ -25,6 +25,8 @@ The corpus:
   extreme magnitudes.
 - ``highdim/...``: a global test then intervals on one sample at n = 100,
   p = 2000, AR(1) rho = 0.8, Gaussian and t3.
+- ``simdata/draw/...``: the bytes of ``draw`` itself, for each model at
+  40x10 with rho = 0 and for a 40x10 AR(1) rho = 0.5 Gaussian.
 """
 
 import contextlib
@@ -39,9 +41,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 import numpy as np  # noqa: E402
 
-from geomedian import bootstrap, estimator, inference  # noqa: E402
+from geomedian import bootstrap, estimator, inference, simdata  # noqa: E402
 from geomedian.cli import main as cli_main  # noqa: E402
-from geomedian.data import validate_sample  # noqa: E402
+from geomedian.data import ar1_shape, validate_sample  # noqa: E402
 from geomedian.errors import GeomedianError  # noqa: E402
 
 WORKERS = "2"
@@ -83,6 +85,14 @@ SCENARIOS = {
             "seed": 24},
     "are": {"experiment": "are", "model": "student_t", "df": 5.0, "n": 20, "p": 10,
             "replications": 12, "seed": 25, "p_grid": [5, 10], "n_grid": [15, 20]},
+}
+
+DRAWS = {
+    "gaussian": ("gaussian", None, "covariance", 0.0),
+    "t3_covariance": ("student_t", 3.0, "covariance", 0.0),
+    "t5_scale": ("student_t", 5.0, "scale", 0.0),
+    "laplace": ("laplace", None, "covariance", 0.0),
+    "ar1_rho0.5": ("gaussian", None, "covariance", 0.5),
 }
 
 
@@ -235,9 +245,17 @@ def highdim_entries():
         yield f"highdim/sci/{name}", _digest(json.dumps(band.to_json(), sort_keys=True))
 
 
+def simdata_entries():
+    n, p = 40, 10
+    for name, (model, df, t_mode, rho) in DRAWS.items():
+        spec = simdata.DistributionSpec(model, np.zeros(p), ar1_shape(p, rho), df=df, t_mode=t_mode)
+        yield f"simdata/draw/{name}", _digest(simdata.draw(spec, n, 61).values)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        for group in (cli_entries(work), solver_entries(), scale_entries(), highdim_entries()):
+        groups = (cli_entries(work), solver_entries(), scale_entries(), highdim_entries(), simdata_entries())
+        for group in groups:
             for label, digest in group:
                 print(f"{digest}  {label}", flush=True)
     return 0
