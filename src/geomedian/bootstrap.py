@@ -34,24 +34,26 @@ _BATCH = 256
 
 @dataclass(frozen=True)
 class BootstrapDraws:
-    """Replicate max-norm statistics plus the seed that produced them.
+    """Replicate max-norm statistics of a sample with ``n_obs`` observations.
 
-    ``vectors`` optionally holds the full replicate center vectors (B x p),
-    for callers that need more than the max-norms.
+    ``stats`` holds one sqrt(n) * max-norm per replicate, so ``B`` is its
+    length.  ``vectors`` optionally holds the full replicate center vectors
+    (B x p), for callers that need more than the max-norms.
     """
 
     stats: np.ndarray
-    B: int
-    seed: int
-    target: str  # "spatial_median" | "mean"
     n_obs: int
     vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.stats.shape != (self.B,):
-            raise InvalidScenario("stats length must equal B")
+        if self.stats.ndim != 1:
+            raise InvalidScenario("stats must be one-dimensional")
         if self.vectors is not None and self.vectors.shape[0] != self.B:
             raise InvalidScenario("vectors must have one row per replicate")
+
+    @property
+    def B(self) -> int:
+        return self.stats.size
 
 
 def _parallel_map(func, items, workers: int) -> None:
@@ -59,7 +61,9 @@ def _parallel_map(func, items, workers: int) -> None:
 
     Results are discarded; the first error in item order is re-raised.
     """
-    if workers <= 1 or len(items) <= 1:
+    if workers < 1:
+        raise InvalidScenario("workers must be >= 1")
+    if workers == 1 or len(items) <= 1:
         for item in items:
             func(item)
         return
@@ -69,8 +73,7 @@ def _parallel_map(func, items, workers: int) -> None:
 
 
 def _multiplier_bootstrap(
-    sample: Sample, solve, namespace: int, target: str, B: int, seed: int, workers: int,
-    keep_vectors: bool,
+    sample: Sample, solve, namespace: int, B: int, seed: int, workers: int, keep_vectors: bool
 ) -> BootstrapDraws:
     """Run B sign-multiplier replicates through ``solve(signs) -> centers``.
 
@@ -105,7 +108,7 @@ def _multiplier_bootstrap(
     stats.flags.writeable = False
     if vectors is not None:
         vectors.flags.writeable = False
-    return BootstrapDraws(stats=stats, B=B, seed=seed, target=target, n_obs=n, vectors=vectors)
+    return BootstrapDraws(stats=stats, n_obs=n, vectors=vectors)
 
 
 def bootstrap_spatial_median(
@@ -134,9 +137,7 @@ def bootstrap_spatial_median(
     def solve(signs):
         return _solve_batch(coords, signs, cfg, np.zeros((signs.shape[0], coords.width)))[0]
 
-    return _multiplier_bootstrap(
-        sample, solve, NS_BOOT_MEDIAN, "spatial_median", B, seed, workers, keep_vectors
-    )
+    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEDIAN, B, seed, workers, keep_vectors)
 
 
 def bootstrap_mean(
@@ -151,7 +152,7 @@ def bootstrap_mean(
     def solve(signs):
         return (signs @ centered) / sample.n
 
-    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, "mean", B, seed, workers, keep_vectors)
+    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, B, seed, workers, keep_vectors)
 
 
 def quantile(draws: BootstrapDraws, level: float) -> float:

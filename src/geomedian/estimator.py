@@ -457,6 +457,15 @@ def gmom(sample: Sample, k_blocks: int, config: SolverConfig | None = None, seed
     return _fit_center(means, cfg)[0]
 
 
+def _unit_rows(centered: np.ndarray) -> np.ndarray:
+    """Each row of ``centered`` divided by its norm; zero rows stay zero."""
+    norms = np.linalg.norm(centered, axis=1)
+    directions = np.zeros_like(centered)
+    nz = norms > 0
+    directions[nz] = centered[nz] / norms[nz, None]
+    return directions
+
+
 def bahadur_remainder(sample: Sample, theta_true, fit: SpatialMedianFit) -> float:
     """Max-norm gap between the scaled estimation error and its linear term.
 
@@ -467,10 +476,5 @@ def bahadur_remainder(sample: Sample, theta_true, fit: SpatialMedianFit) -> floa
     if not np.isfinite(fit.zeta1_hat) or fit.zeta1_hat <= 0:
         raise DegenerateRemainder("mean inverse residual norm is undefined for this fit")
     n = sample.n
-    centered = sample.values - theta
-    norms = np.linalg.norm(centered, axis=1)
-    nz = norms > 0
-    signs = np.zeros_like(centered)
-    signs[nz] = centered[nz] / norms[nz, None]
-    linear = signs.sum(axis=0) / (fit.zeta1_hat * np.sqrt(n))
+    linear = _unit_rows(sample.values - theta).sum(axis=0) / (fit.zeta1_hat * np.sqrt(n))
     return float(np.abs(np.sqrt(n) * (fit.theta_hat - theta) - linear).max())

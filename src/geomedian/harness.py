@@ -17,7 +17,7 @@ Defaults are desk scale (500 replications, 200 bootstrap replicates); pass
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class ScenarioSpec:
     levels: tuple = (0.9,)
     seed: int = 0
     name: str = ""
-    # experiment-specific knobs (harness ops also accept them as arguments)
+    # experiment-specific knobs: the size_power signal grid, sparsity and
+    # tests, and the are (n, p) grid; each run_* reads them only from here
     kappa_grid: tuple | None = None
     c0: float = 0.5
     methods: tuple = ("median", "mean", "wpl")
@@ -136,10 +137,8 @@ class ScenarioSpec:
 class MetricsTable:
     """Row container with the fixed :data:`COLUMNS` schema."""
 
-    def __init__(self, rows: list[dict] | None = None):
+    def __init__(self):
         self.rows: list[dict] = []
-        for row in rows or []:
-            self.append(**row)
 
     def append(self, **values):
         row = {col: values.get(col) for col in COLUMNS}
@@ -150,12 +149,6 @@ class MetricsTable:
         if row["mc_stderr"] is not None and row["mc_stderr"] < 0:
             raise InvalidScenario("mc_stderr must be >= 0")
         self.rows.append(row)
-
-    def extend(self, other: "MetricsTable"):
-        self.rows.extend(other.rows)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def _format_cell(value) -> str:
@@ -262,26 +255,20 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     return table
 
 
-def run_size_power(
-    spec: ScenarioSpec,
-    kappa_grid=None,
-    c0: float | None = None,
-    methods=None,
-    workers: int | None = None,
-    include_runtime: bool = False,
-) -> MetricsTable:
+def run_size_power(spec: ScenarioSpec, workers: int | None = None, include_runtime: bool = False) -> MetricsTable:
     """Rejection frequency of the global tests along a signal-strength grid.
 
-    Signal vectors put ``kappa * sqrt(log(p)/n)`` on the first
-    ``floor(c0 * log p)`` coordinates; ``kappa = 0`` rows report size, others
-    power.  All requested tests see the same sample in each replication.
+    For each ``kappa`` in ``spec.kappa_grid`` (default ``(0.0,)``), signal
+    vectors put ``kappa * sqrt(log(p)/n)`` on the first
+    ``floor(spec.c0 * log p)`` coordinates; ``kappa = 0`` rows report size,
+    others power.  All tests in ``spec.methods`` see the same sample in each
+    replication.
     """
     if spec.experiment != EXPERIMENT_SIZE_POWER:
         raise InvalidScenario(f"run_size_power needs a size_power scenario, got {spec.experiment!r}")
     start = time.perf_counter()
-    grid = tuple(kappa_grid if kappa_grid is not None else (spec.kappa_grid or (0.0,)))
-    c0 = spec.c0 if c0 is None else c0
-    methods = tuple(methods if methods is not None else spec.methods)
+    grid = spec.kappa_grid or (0.0,)
+    methods = spec.methods
     unknown = set(methods) - {METHOD_MEDIAN, METHOD_MEAN, *_NORMAL_TESTS}
     if unknown:
         raise InvalidScenario(f"unknown test methods {sorted(unknown)}")
@@ -290,7 +277,7 @@ def run_size_power(
     reject = {meth: np.zeros((len(grid), m, n_levels), dtype=bool) for meth in methods}
 
     for ki, kappa in enumerate(grid):
-        pattern = ThetaPattern("log_sparse", kappa=kappa, c0=c0)
+        pattern = ThetaPattern("log_sparse", kappa=kappa, c0=spec.c0)
         theta = theta_vector(pattern, spec.p, spec.n)
         dist = _distribution(spec, theta)
 
@@ -395,23 +382,18 @@ def _jackknife_ratio_stderr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt((m - 1) / m * ((ratios - ratios.mean()) ** 2).sum()))
 
 
-def run_are(
-    spec: ScenarioSpec,
-    p_grid=None,
-    n_grid=None,
-    workers: int | None = None,
-    include_runtime: bool = False,
-) -> MetricsTable:
+def run_are(spec: ScenarioSpec, workers: int | None = None, include_runtime: bool = False) -> MetricsTable:
     """Monte Carlo max-norm variance ratio of the mean to the spatial median.
 
-    For every (n, p) pair, the ratio var|xbar - theta|_inf / var|theta_hat -
+    For every (n, p) pair of ``spec.n_grid`` x ``spec.p_grid`` (each defaults
+    to the spec's own n or p), the ratio var|xbar - theta|_inf / var|theta_hat -
     theta|_inf is taken across replications.
     """
     if spec.experiment != EXPERIMENT_ARE:
         raise InvalidScenario(f"run_are needs an are scenario, got {spec.experiment!r}")
     start = time.perf_counter()
-    p_values = tuple(p_grid if p_grid is not None else (spec.p_grid or (spec.p,)))
-    n_values = tuple(n_grid if n_grid is not None else (spec.n_grid or (spec.n,)))
+    p_values = spec.p_grid or (spec.p,)
+    n_values = spec.n_grid or (spec.n,)
     if any(n < 2 for n in n_values):
         raise InvalidScenario("relative-efficiency runs need n >= 2 (variance of a single estimate is undefined)")
     if spec.replications < 2:
@@ -462,15 +444,11 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
         raise InvalidScenario("scenario JSON needs an 'experiment' field")
     if "seed" not in obj:
         raise InvalidScenario("scenario JSON needs a 'seed' field (no silent entropy)")
-    known = {
-        "experiment", "model", "rho", "df", "t_mode", "n", "p", "replications",
-        "B", "levels", "seed", "name", "kappa_grid", "c0", "methods", "p_grid",
-        "n_grid", "workers",
-    }
-    unknown = set(obj) - known - {"theta"}
+    known = {f.name for f in fields(ScenarioSpec)}
+    unknown = set(obj) - known
     if unknown:
         raise InvalidScenario(f"unknown scenario fields {sorted(unknown)}")
-    kwargs = {k: obj[k] for k in known if k in obj}
+    kwargs = {k: obj[k] for k in known - {"theta"} if k in obj}
     for tup in ("levels", "kappa_grid", "methods", "p_grid", "n_grid"):
         if kwargs.get(tup) is not None:
             kwargs[tup] = tuple(kwargs[tup])

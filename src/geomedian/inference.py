@@ -31,7 +31,7 @@ from .errors import (
     ZeroScale,
     ZeroVariance,
 )
-from .estimator import SolverConfig, SpatialMedianFit, spatial_median
+from .estimator import SpatialMedianFit, _unit_rows, spatial_median
 
 METHOD_MEDIAN = "median"
 METHOD_MEAN = "mean"
@@ -120,7 +120,6 @@ def _calibrate(
     method: str,
     B: int,
     seed: int,
-    config: SolverConfig | None = None,
     workers: int = 1,
 ) -> tuple[np.ndarray, BootstrapDraws]:
     """Fit the method's center and draw its matching multiplier bootstrap.
@@ -135,8 +134,8 @@ def _calibrate(
     if (sample.values == sample.values[0]).all():
         raise DegenerateSample("every observation is identical: the bootstrap law is a point mass at 0")
     if method == METHOD_MEDIAN:
-        fit = spatial_median(sample, config)
-        return fit.theta_hat, bootstrap_spatial_median(sample, fit, B, seed, config, workers)
+        fit = spatial_median(sample)
+        return fit.theta_hat, bootstrap_spatial_median(sample, fit, B, seed, workers=workers)
     if method == METHOD_MEAN:
         return sample.values.mean(axis=0), bootstrap_mean(sample, B, seed, workers)
     raise InvalidScenario(f"unknown bootstrap method {method!r}")
@@ -169,7 +168,6 @@ def sci(
     B: int,
     seed: int,
     method: str = METHOD_MEDIAN,
-    config: SolverConfig | None = None,
     workers: int = 1,
 ) -> SciResult:
     """Simultaneous confidence intervals for every coordinate of the center.
@@ -178,7 +176,7 @@ def sci(
     bootstrap, and returns center -/+ q/sqrt(n) per coordinate.
     """
     _check_level(level)
-    center, draws = _calibrate(sample, method, B, seed, config, workers)
+    center, draws = _calibrate(sample, method, B, seed, workers)
     return _sci_result(center, draws, level, method)
 
 
@@ -188,7 +186,6 @@ def global_test_median(
     level: float = 0.05,
     B: int = 400,
     seed: int = 0,
-    config: SolverConfig | None = None,
     workers: int = 1,
 ) -> GlobalTestResult:
     """Max-norm test of a hypothesised center, spatial-median version.
@@ -198,7 +195,7 @@ def global_test_median(
     """
     _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
-    center, draws = _calibrate(sample, METHOD_MEDIAN, B, seed, config, workers)
+    center, draws = _calibrate(sample, METHOD_MEDIAN, B, seed, workers)
     return _test_result(center, draws, theta0, level, METHOD_MEDIAN)
 
 
@@ -213,7 +210,7 @@ def global_test_mean(
     """Max-norm test of a hypothesised center, sample-mean version."""
     _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
-    center, draws = _calibrate(sample, METHOD_MEAN, B, seed, workers=workers)
+    center, draws = _calibrate(sample, METHOD_MEAN, B, seed, workers)
     return _test_result(center, draws, theta0, level, METHOD_MEAN)
 
 
@@ -230,17 +227,9 @@ def global_test_wpl(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRe
     _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     n = sample.n
-    if n < 2:
-        raise InvalidScenario("pairwise statistic needs n >= 2")
-    centered = sample.values - theta0
-    norms = np.linalg.norm(centered, axis=1)
-    directions = np.zeros_like(centered)
-    nz = norms > 0
-    directions[nz] = centered[nz] / norms[nz, None]
-    gram = directions @ directions.T
-    diag = np.diag(gram)
-    statistic = float((gram.sum() - diag.sum()) / 2.0)
-    trace_b_sq = float((gram**2).sum() - (diag**2).sum()) / (n * (n - 1))
+    pair_sum, pair_sq = _pair_moments(_unit_rows(sample.values - theta0))
+    statistic = float(pair_sum / 2.0)
+    trace_b_sq = float(pair_sq) / (n * (n - 1))
     sd = float(np.sqrt(n * (n - 1) / 2.0 * trace_b_sq))
     return _normal_calibrated(statistic, sd, level, METHOD_WPL)
 
@@ -255,16 +244,23 @@ def global_test_cq(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRes
     _check_level(level)
     theta0 = _check_theta0(theta0, sample.p)
     n = sample.n
-    if n < 2:
-        raise InvalidScenario("pairwise statistic needs n >= 2")
-    centered = sample.values - theta0
-    gram = centered @ centered.T
-    diag = np.diag(gram)
-    statistic = float(gram.sum() - diag.sum())
-    pair_sq = float((gram**2).sum() - (diag**2).sum())
-    trace_sq_hat = pair_sq / (n * (n - 1))
+    pair_sum, pair_sq = _pair_moments(sample.values - theta0)
+    statistic = float(pair_sum)
+    trace_sq_hat = float(pair_sq) / (n * (n - 1))
     sd = float(np.sqrt(2.0 * n * (n - 1) * trace_sq_hat))
     return _normal_calibrated(statistic, sd, level, METHOD_CQ)
+
+
+def _pair_moments(rows: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of the off-diagonal entries of ``rows @ rows.T``.
+
+    The pairwise statistics need two rows at least.
+    """
+    if rows.shape[0] < 2:
+        raise InvalidScenario("pairwise statistic needs n >= 2")
+    gram = rows @ rows.T
+    diag = np.diag(gram)
+    return gram.sum() - diag.sum(), (gram**2).sum() - (diag**2).sum()
 
 
 def _normal_calibrated(statistic, sd, level, method) -> GlobalTestResult:
@@ -360,16 +356,14 @@ def bh_fdr(p_values, alpha: float) -> BhSelection:
     return BhSelection(k_hat=k_hat, rejected=rejected, threshold_p=threshold)
 
 
-def fdr_screen(
-    sample: Sample, theta0, alpha: float, config: SolverConfig | None = None
-) -> FdrResult:
+def fdr_screen(sample: Sample, theta0, alpha: float) -> FdrResult:
     """Coordinate-wise two-sided screening with step-up FDR control.
 
     Studentized spatial-median statistics get two-sided normal p-values which
     feed the step-up rule.
     """
     _check_alpha(alpha)
-    fit = spatial_median(sample, config)
+    fit = spatial_median(sample)
     t_stats = marginal_stats(sample, fit, theta0)
     p_values = _two_sided_p(t_stats)
     selection = bh_fdr(p_values, alpha)
@@ -390,13 +384,7 @@ def _mean_t_p_values(sample: Sample, theta0: np.ndarray) -> np.ndarray:
     return _two_sided_p(np.sqrt(sample.n) * (x.mean(axis=0) - theta0) / x.std(axis=0, ddof=1))
 
 
-def are_bootstrap(
-    sample: Sample,
-    B: int,
-    seed: int,
-    config: SolverConfig | None = None,
-    workers: int = 1,
-) -> AreReport:
+def are_bootstrap(sample: Sample, B: int, seed: int, workers: int = 1) -> AreReport:
     """Bootstrap estimate of the mean-vs-median max-norm variance ratio.
 
     Both multiplier bootstraps run on the same sample with independent
@@ -404,8 +392,8 @@ def are_bootstrap(
     """
     if B < 2:
         raise TooFewDraws("need B >= 2 replicates")
-    _, draws_median = _calibrate(sample, METHOD_MEDIAN, B, seed, config, workers)
-    _, draws_mean = _calibrate(sample, METHOD_MEAN, B, seed, workers=workers)
+    _, draws_median = _calibrate(sample, METHOD_MEDIAN, B, seed, workers)
+    _, draws_mean = _calibrate(sample, METHOD_MEAN, B, seed, workers)
     var_median = conditional_variance(draws_median)
     var_mean = conditional_variance(draws_mean)
     if var_median == 0.0:

@@ -78,9 +78,9 @@ def test_criterion_03_test_sizes():
         spec = ScenarioSpec(
             experiment="size_power", model="gaussian", rho=rho, n=100, p=p,
             replications=1000, B=200, levels=(0.05,), seed=2203 + i,
-            methods=("median", "mean", "wpl"),
+            methods=("median", "mean", "wpl"), kappa_grid=(0.0,),
         )
-        table = run_size_power(spec, kappa_grid=(0.0,))
+        table = run_size_power(spec)
         for row in table.rows:
             results.append(f"rho={rho} p={p} {row['method']}={row['size']:.3f}")
             ok = ok and 0.03 <= row["size"] <= 0.08
@@ -95,9 +95,9 @@ def test_criterion_04_sparse_power_ordering():
     spec = ScenarioSpec(
         experiment="size_power", model="gaussian", rho=0.8, n=100, p=2000,
         replications=1000, B=200, levels=(0.05,), seed=1004,
-        methods=("median", "wpl"), c0=0.5,
+        methods=("median", "wpl"), c0=0.5, kappa_grid=(4.0,),
     )
-    table = run_size_power(spec, kappa_grid=(4.0,))
+    table = run_size_power(spec)
     power = {row["method"]: row["power"] for row in table.rows}
     gap = power["median"] - power["wpl"]
     ok = gap >= 0.05
@@ -134,10 +134,12 @@ def test_criterion_05_fdr_table():
 
 def test_criterion_06_relative_efficiency_monte_carlo():
     grid = (10, 50, 200)
-    spec_g = ScenarioSpec(experiment="are", model="gaussian", replications=1000, seed=101)
-    ratios_g = [r["are_ratio"] for r in run_are(spec_g, p_grid=grid, n_grid=(20,)).rows]
-    spec_t = ScenarioSpec(experiment="are", model="student_t", df=5.0, replications=1000, seed=101)
-    ratios_t = [r["are_ratio"] for r in run_are(spec_t, p_grid=grid, n_grid=(20,)).rows]
+    spec_g = ScenarioSpec(experiment="are", model="gaussian", replications=1000, seed=101,
+                          p_grid=grid, n_grid=(20,))
+    ratios_g = [r["are_ratio"] for r in run_are(spec_g).rows]
+    spec_t = ScenarioSpec(experiment="are", model="student_t", df=5.0, replications=1000, seed=101,
+                          p_grid=grid, n_grid=(20,))
+    ratios_t = [r["are_ratio"] for r in run_are(spec_t).rows]
     ok = (
         ratios_g[0] < ratios_g[1] < ratios_g[2]
         and 0.85 <= ratios_g[2] <= 1.05

@@ -3,18 +3,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geomedian import (
+    ScenarioSpec,
     SolverConfig,
     bootstrap_mean,
     bootstrap_spatial_median,
     conditional_variance,
     quantile,
+    run_coverage,
+    sci,
     spatial_median,
     validate_sample,
     write_stats_csv,
 )
 from geomedian.bootstrap import BootstrapDraws
 from geomedian.data import ar1_shape
-from geomedian.errors import InvalidLevel, TooFewDraws
+from geomedian.errors import InvalidLevel, InvalidScenario, TooFewDraws
 from geomedian.estimator import _PointCoords, _solve_batch, _SpanCoords
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
@@ -22,9 +25,8 @@ from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 from _oracles import all_sign_patterns, is_distance_sum_minimizer, ks_distance
 
 
-def _draws(stats, n_obs=4, target="mean", seed=0):
-    stats = np.asarray(stats, dtype=np.float64)
-    return BootstrapDraws(stats=stats, B=stats.size, seed=seed, target=target, n_obs=n_obs)
+def _draws(stats, n_obs=4):
+    return BootstrapDraws(stats=np.asarray(stats, dtype=np.float64), n_obs=n_obs)
 
 
 def test_identical_observations_give_zero_stats():
@@ -320,3 +322,21 @@ def test_keep_vectors_returns_full_replicate_centers():
     assert np.array_equal(lean.stats, draws.stats)
     mean_draws = bootstrap_mean(sample, 40, seed=2, keep_vectors=True)
     assert mean_draws.vectors.shape == (40, 3)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, w: sci(s, 0.9, 50, 1, workers=w),
+        lambda s, w: bootstrap_mean(s, 50, 1, workers=w),
+        lambda s, w: run_coverage(ScenarioSpec(experiment="coverage", n=8, p=3, replications=2, B=20), workers=w),
+    ],
+    ids=["sci", "bootstrap_mean", "run_coverage"],
+)
+def test_worker_count_below_one_is_rejected(call, workers):
+    # the one thread pool behind the intervals, tests, bootstraps and run_*
+    # refuses the count before running anything serially
+    sample = validate_sample(np.random.default_rng(3).standard_normal((10, 3)))
+    with pytest.raises(InvalidScenario, match="workers must be >= 1"):
+        call(sample, workers)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -90,11 +91,12 @@ def test_harness_agrees_with_the_inference_api():
         assert row["coverage"] == float(inside)
 
     spec = ScenarioSpec(experiment="size_power", n=n, p=p, replications=1, B=B,
-                        levels=(0.05, 0.2), seed=seed, methods=("median", "mean"))
-    grid = (0.0, 1.0, 1.5)  # rejections at these strengths differ by method and level
-    rows = run_size_power(spec, kappa_grid=grid, c0=1.0).rows
+                        levels=(0.05, 0.2), seed=seed, methods=("median", "mean"),
+                        # rejections at these strengths differ by method and level
+                        kappa_grid=(0.0, 1.0, 1.5), c0=1.0)
+    rows = run_size_power(spec).rows
     tests = {"median": global_test_median, "mean": global_test_mean}
-    for ki, kappa in enumerate(grid):
+    for ki, kappa in enumerate(spec.kappa_grid):
         theta = theta_vector(ThetaPattern("log_sparse", kappa=kappa, c0=1.0), p, n)
         rep_seed = child_seed(seed, NS_HARNESS, ki, 0)
         sample = draw(DistributionSpec("gaussian", theta, ar1_shape(p, 0.0)), n, rep_seed)
@@ -138,9 +140,9 @@ def test_bernoulli_stderr_formula():
 def test_size_column_at_zero_kappa_power_elsewhere():
     spec = ScenarioSpec(
         experiment="size_power", n=20, p=8, replications=3, B=30,
-        levels=(0.05,), seed=3, methods=("median", "wpl"),
+        levels=(0.05,), seed=3, methods=("median", "wpl"), kappa_grid=(0.0, 3.0), c0=1.0,
     )
-    table = run_size_power(spec, kappa_grid=(0.0, 3.0), c0=1.0)
+    table = run_size_power(spec)
     by_kappa = {(row["kappa"], row["method"]): row for row in table.rows}
     assert by_kappa[(0.0, "median")]["size"] is not None
     assert by_kappa[(0.0, "median")]["power"] is None
@@ -151,9 +153,9 @@ def test_size_column_at_zero_kappa_power_elsewhere():
 def test_power_monotone_in_signal_strength():
     spec = ScenarioSpec(
         experiment="size_power", n=40, p=30, replications=40, B=60,
-        levels=(0.05,), seed=7, methods=("median",),
+        levels=(0.05,), seed=7, methods=("median",), kappa_grid=(0.0, 2.0, 5.0), c0=1.0,
     )
-    table = run_size_power(spec, kappa_grid=(0.0, 2.0, 5.0), c0=1.0)
+    table = run_size_power(spec)
     rates = [row["size"] if row["kappa"] == 0 else row["power"] for row in table.rows]
     ses = [row["mc_stderr"] for row in table.rows]
     assert rates[1] >= rates[0] - 2.0 * (ses[0] + ses[1])
@@ -185,16 +187,15 @@ def test_fdr_reports_both_methods_per_level():
 
 
 def test_are_requires_enough_data():
-    spec = ScenarioSpec(experiment="are", replications=5, seed=1)
     with pytest.raises(InvalidScenario):
-        run_are(spec, p_grid=(4,), n_grid=(1,))
+        run_are(ScenarioSpec(experiment="are", replications=5, seed=1, p_grid=(4,), n_grid=(1,)))
     with pytest.raises(InvalidScenario):
-        run_are(ScenarioSpec(experiment="are", replications=1, seed=1), p_grid=(4,), n_grid=(10,))
+        run_are(ScenarioSpec(experiment="are", replications=1, seed=1, p_grid=(4,), n_grid=(10,)))
 
 
 def test_are_rows_per_grid_point():
-    spec = ScenarioSpec(experiment="are", replications=25, seed=9)
-    table = run_are(spec, p_grid=(3, 6), n_grid=(20,))
+    spec = ScenarioSpec(experiment="are", replications=25, seed=9, p_grid=(3, 6), n_grid=(20,))
+    table = run_are(spec)
     assert [(row["n"], row["p"]) for row in table.rows] == [(20, 3), (20, 6)]
     for row in table.rows:
         assert row["are_ratio"] > 0
@@ -248,26 +249,37 @@ def test_metrics_table_validates_ranges():
 
 
 def test_scenario_from_json_full_round():
+    # every field set away from its default, so a field the parser drops or
+    # mistypes shows up in the comparison of whole specs
     obj = {
         "experiment": "size_power",
         "model": "student_t",
-        "df": 3.0,
         "rho": 0.8,
+        "df": 3.0,
+        "t_mode": "covariance",
         "n": 50,
         "p": 100,
-        "theta": {"kind": "log_sparse", "kappa": 2.0, "c0": 0.5},
+        "theta": {"kind": "log_sparse", "kappa": 2.0, "c0": 0.7, "scale": 1.5},
         "replications": 10,
         "B": 50,
-        "levels": [0.05],
+        "levels": [0.05, 0.1],
         "seed": 21,
+        "name": "round-trip",
         "kappa_grid": [0.0, 2.0],
+        "c0": 0.25,
         "methods": ["median", "wpl"],
+        "p_grid": [10, 20],
+        "n_grid": [30],
+        "workers": 2,
     }
-    spec = scenario_from_json(obj)
-    assert spec.model == "student_t"
-    assert spec.levels == (0.05,)
-    assert spec.kappa_grid == (0.0, 2.0)
-    assert spec.theta.kappa == 2.0
+    assert set(obj) == {f.name for f in dataclasses.fields(ScenarioSpec)}
+    assert scenario_from_json(obj) == ScenarioSpec(
+        experiment="size_power", model="student_t", rho=0.8, df=3.0, t_mode="covariance",
+        n=50, p=100, theta=ThetaPattern("log_sparse", kappa=2.0, c0=0.7, scale=1.5),
+        replications=10, B=50, levels=(0.05, 0.1), seed=21, name="round-trip",
+        kappa_grid=(0.0, 2.0), c0=0.25, methods=("median", "wpl"), p_grid=(10, 20),
+        n_grid=(30,), workers=2,
+    )
 
 
 def test_scenario_from_json_requires_seed_and_rejects_unknown():
