@@ -155,14 +155,19 @@ def bootstrap_mean(
     return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, B, seed, workers, keep_vectors)
 
 
+def _check_level(level) -> None:
+    """Reject a level outside (0, 1); procedures call it before any fit or bootstrap."""
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+
+
 def quantile(draws: BootstrapDraws, level: float) -> float:
     """Smallest replicate value whose empirical CDF reaches ``level``.
 
     Uses the ceiling order statistic, i.e. the inverse empirical CDF; exact
     under enumeration and never undershoots the requested coverage.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     k = int(np.ceil(level * draws.B))
     k = min(max(k, 1), draws.B)
     return float(np.partition(draws.stats, k - 1)[k - 1])

@@ -11,9 +11,10 @@ to resolve are recomputed directly before they feed the weights.
 
 A sweep builds the distance matrix in place and takes its row minima once;
 they decide which rescue the sweep needs (distance repair, vertex check,
-Vardi-Zhang anchoring).  A sweep that needs none, the usual case, takes the
-plain Weiszfeld step numer / denom without masks or blends: the value the
-general step gives at lambda = 0.
+Vardi-Zhang anchoring).  Every sweep takes one step rule: weights 1/dist, the
+Weiszfeld step numer / denom, and only in rows where some point sits within
+the anchor radius of the iterate, that point weighted out and the step blended
+back towards the iterate.
 
 Every solve is one call of ``_solve_batch``: a fit or median-of-means is one
 row started at the coordinate-wise median, bootstrap replicates are batches
@@ -184,15 +185,16 @@ def _solve_batch(coords, signs, config, start):
     - below 0.02 * scale, every 4th sweep: the nearest point is tested for
       optimality and the row snaps to it if it is the minimizer, keeping the
       test's distances from it;
-    - at or below the anchor radius, in any row: the whole sweep takes the
-      Vardi-Zhang step, weighting out coincident points and blending with
-      lambda = min(1, eta / ||R||).
+    - at or below the anchor radius: the coincident entries get weight 0.
 
-    Otherwise the step is numer / denom directly.  While every row is active
-    the sweep reads and replaces ``signs`` and ``beta`` whole, without
-    gathering rows.  Non-finite distances raise DegenerateSample; rows still
-    active at t % 256 == 0 get a Newton polish, and a row out of iterations
-    raises DidNotConverge with its index.
+    Every row steps to numer / denom.  A row with eta > 0 coincident points
+    then takes the Vardi-Zhang blend of that target (its iterate where every
+    weight is 0) with its iterate, lambda = min(1, eta / ||R||), or 1 when
+    the residual R is 0.  While every row is active the sweep reads and
+    replaces ``signs`` and ``beta`` whole, without gathering rows.
+    Non-finite distances raise DegenerateSample; rows still active at
+    t % 256 == 0 get a Newton polish, and a row out of iterations raises
+    DidNotConverge with its index.
     """
     points = coords.points
     sq_norms = coords.sq_norms
@@ -324,37 +326,27 @@ def _solve_batch(coords, signs, config, start):
                     dist[j] = snapped[1]
                     row_min[j] = dist[j].min()
 
-        if (row_min > eps_anchor).all():
-            # no point coincides with any iterate: every weight is positive
-            # and finite, so denom > 0, eta = lambda = 0, and the blend
-            # (1 - 0) * target + 0 * ba is target itself (a -0.0 target, which
-            # only an underflowing quotient could give, would read +0.0 there)
+        # a point within the anchor radius of its iterate gets weight 0
+        coincide = dist <= eps_anchor if (row_min <= eps_anchor).any() else None
+        with np.errstate(divide="ignore"):
             weights = np.divide(1.0, dist, out=dist)
-            denom = weights.sum(axis=1)
-            weights *= za
-            numer = coords.combine(weights)
-            resid = numer - denom[:, None] * ba
-            resid_norm = coords.norm(resid)
-            eta = 0.0
+        eta = np.zeros(idx.size)
+        if coincide is not None:
+            weights[coincide] = 0.0
+            eta = coincide.sum(axis=1).astype(np.float64)
+        denom = weights.sum(axis=1)
+        weights *= za
+        numer = coords.combine(weights)
+        resid = numer - denom[:, None] * ba
+        resid_norm = coords.norm(resid)
+        with np.errstate(invalid="ignore"):  # 0/0 in rows whose every point coincides
             new = np.divide(numer, denom[:, None], out=numer)
-        else:
-            anchored = dist <= eps_anchor
-            weights = np.divide(1.0, dist, out=np.zeros_like(dist), where=~anchored)
-            denom = weights.sum(axis=1)
-            numer = coords.combine(weights * za)
-            resid = numer - denom[:, None] * ba
-            resid_norm = coords.norm(resid)
-            eta = anchored.sum(axis=1).astype(np.float64)
-
-            target = np.divide(numer, denom[:, None], out=ba.copy(), where=denom[:, None] > 0)
-            lam = np.zeros(idx.size)
-            at_anchor = eta > 0
-            with np.errstate(divide="ignore"):
-                lam[at_anchor] = np.minimum(
-                    1.0, eta[at_anchor] / np.where(resid_norm[at_anchor] > 0, resid_norm[at_anchor], np.inf)
-                )
-            lam[at_anchor & (resid_norm == 0)] = 1.0
-            new = (1.0 - lam[:, None]) * target + lam[:, None] * ba
+        at = np.nonzero(eta)[0]
+        if at.size:
+            target = np.where(denom[at, None] > 0, new[at], ba[at])
+            with np.errstate(divide="ignore"):  # R = 0 gives lambda = min(1, inf) = 1
+                lam = np.minimum(1.0, eta[at] / resid_norm[at])[:, None]
+            new[at] = (1.0 - lam) * target + lam * ba[at]
 
         step = coords.norm(new - ba)
         denom_change = np.maximum(1.0, np.sqrt(sq))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bootstrap import _parallel_map
+from .bootstrap import _parallel_map, quantile
 from .data import ar1_shape
 from .errors import GeomedianError, InvalidScenario
 from .estimator import spatial_median
@@ -32,7 +32,6 @@ from .inference import (
     METHOD_WPL,
     _calibrate,
     _mean_t_p_values,
-    _sci_result,
     _test_result,
     bh_fdr,
     fdr_screen,
@@ -196,19 +195,23 @@ def _distribution(spec: ScenarioSpec, theta: np.ndarray, p: int | None = None) -
     return DistributionSpec(model=spec.model, theta=theta, shape=shape, df=spec.df, t_mode=spec.t_mode)
 
 
-def _run_replications(spec: ScenarioSpec, reps: int, worker, workers: int | None = None):
-    """Run ``worker(r)`` for r in range(reps), optionally on several threads."""
-    count = workers if workers is not None else spec.workers
+def _run_replications(spec: ScenarioSpec, dist: DistributionSpec, n: int, key: tuple, body, workers: int | None):
+    """Call ``body(r, sample, seed)`` for every replication r, optionally on several threads.
 
-    def guarded(r):
+    Replication r's seed is ``child_seed(spec.seed, NS_HARNESS, *key, r)`` and
+    its sample the n-row ``draw(dist, n, seed)``.  A library error keeps its
+    type and attributes; its message gains the scenario label and replication.
+    """
+
+    def one(r):
+        seed = child_seed(spec.seed, NS_HARNESS, *key, r)
         try:
-            worker(r)
+            body(r, draw(dist, n, seed), seed)
         except GeomedianError as err:
-            raise GeomedianError(
-                f"scenario {spec.label()!r} replication {r}: {err}"
-            ) from err
+            err.args = (f"scenario {spec.label()!r} replication {r}: {err}",)
+            raise
 
-    _parallel_map(guarded, range(reps), count)
+    _parallel_map(one, range(spec.replications), workers if workers is not None else spec.workers)
 
 
 def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime: bool = False) -> MetricsTable:
@@ -226,18 +229,16 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     covered = np.zeros((m, n_levels, 2), dtype=bool)
     widths = np.zeros((m, n_levels, 2))
 
-    def one(r):
-        rep_seed = child_seed(spec.seed, NS_HARNESS, r)
-        sample = draw(dist, spec.n, rep_seed)
+    def one(r, sample, seed):
         for mi, method in enumerate(_SCI_METHODS):
-            center, draws = _calibrate(sample, method, spec.B, rep_seed)
+            center, draws = _calibrate(sample, method, spec.B, seed)
             err = np.abs(center - theta).max()
             for li, level in enumerate(spec.levels):
-                q = _sci_result(center, draws, level, method).q_boot
+                q = quantile(draws, level)
                 covered[r, li, mi] = err <= q / root_n
                 widths[r, li, mi] = 2.0 * q / root_n
 
-    _run_replications(spec, m, one, workers)
+    _run_replications(spec, dist, spec.n, (), one, workers)
     runtime = time.perf_counter() - start if include_runtime else None
     table = MetricsTable()
     for li, level in enumerate(spec.levels):
@@ -279,20 +280,17 @@ def run_size_power(spec: ScenarioSpec, workers: int | None = None, include_runti
     for ki, kappa in enumerate(grid):
         pattern = ThetaPattern("log_sparse", kappa=kappa, c0=spec.c0)
         theta = theta_vector(pattern, spec.p, spec.n)
-        dist = _distribution(spec, theta)
 
-        def one(r, ki=ki, dist=dist):
-            rep_seed = child_seed(spec.seed, NS_HARNESS, ki, r)
-            sample = draw(dist, spec.n, rep_seed)
+        def one(r, sample, seed, ki=ki):
             for meth in methods:
                 if meth in _NORMAL_TESTS:
                     verdicts = [_NORMAL_TESTS[meth](sample, theta0, tau) for tau in spec.levels]
                 else:
-                    center, draws = _calibrate(sample, meth, spec.B, rep_seed)
+                    center, draws = _calibrate(sample, meth, spec.B, seed)
                     verdicts = [_test_result(center, draws, theta0, tau, meth) for tau in spec.levels]
                 reject[meth][ki, r] = [v.reject for v in verdicts]
 
-        _run_replications(spec, m, one, workers)
+        _run_replications(spec, _distribution(spec, theta), spec.n, (ki,), one, workers)
 
     runtime = time.perf_counter() - start if include_runtime else None
     table = MetricsTable()
@@ -340,9 +338,7 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
         prop_hit = hits / n_signal if n_signal else np.nan
         return prop_false, prop_hit
 
-    def one(r):
-        rep_seed = child_seed(spec.seed, NS_HARNESS, r)
-        sample = draw(dist, spec.n, rep_seed)
+    def one(r, sample, seed):
         # the sample memoises its fit, so levels after the first re-solve nothing
         for li, alpha in enumerate(spec.levels):
             fdp[r, li, 0], tpp[r, li, 0] = proportions(fdr_screen(sample, theta0, alpha))
@@ -350,7 +346,7 @@ def run_fdr(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
         for li, alpha in enumerate(spec.levels):
             fdp[r, li, 1], tpp[r, li, 1] = proportions(bh_fdr(pv_mean, alpha))
 
-    _run_replications(spec, m, one, workers)
+    _run_replications(spec, dist, spec.n, (), one, workers)
     runtime = time.perf_counter() - start if include_runtime else None
     table = MetricsTable()
     for li, alpha in enumerate(spec.levels):
@@ -403,18 +399,14 @@ def run_are(spec: ScenarioSpec, workers: int | None = None, include_runtime: boo
     for ni, n in enumerate(n_values):
         for pi, p in enumerate(p_values):
             theta = theta_vector(spec.theta, p, n)
-            dist = _distribution(spec, theta, p=p)
             med_stat = np.zeros(m)
             mean_stat = np.zeros(m)
 
-            def one(r, ni=ni, pi=pi, n=n, dist=dist, theta=theta, med_stat=med_stat, mean_stat=mean_stat):
-                rep_seed = child_seed(spec.seed, NS_HARNESS, ni, pi, r)
-                sample = draw(dist, n, rep_seed)
-                fit = spatial_median(sample)
-                med_stat[r] = np.abs(fit.theta_hat - theta).max()
+            def one(r, sample, seed, theta=theta, med_stat=med_stat, mean_stat=mean_stat):
+                med_stat[r] = np.abs(spatial_median(sample).theta_hat - theta).max()
                 mean_stat[r] = np.abs(sample.values.mean(axis=0) - theta).max()
 
-            _run_replications(spec, m, one, workers)
+            _run_replications(spec, _distribution(spec, theta, p=p), n, (ni, pi), one, workers)
             table.append(
                 **_row_key(spec, n=n, p=p),
                 method="mc_ratio",

@@ -15,6 +15,7 @@ import numpy as np
 
 from .bootstrap import (
     BootstrapDraws,
+    _check_level,
     bootstrap_mean,
     bootstrap_spatial_median,
     conditional_variance,
@@ -25,7 +26,6 @@ from .errors import (
     DegenerateSample,
     DimensionMismatch,
     InvalidAlpha,
-    InvalidLevel,
     InvalidScenario,
     TooFewDraws,
     ZeroScale,
@@ -286,12 +286,6 @@ def _upper_tail(z):
 def _two_sided_p(t_stats) -> np.ndarray:
     """Two-sided normal p-values 2 P(N(0, 1) > |t|)."""
     return 2.0 * _upper_tail(np.abs(t_stats))
-
-
-def _check_level(level) -> None:
-    """Reject a level outside (0, 1) before any fit or bootstrap runs."""
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie in (0, 1), got {level}")
 
 
 def _check_alpha(alpha) -> None:

@@ -45,7 +45,8 @@ class DistributionSpec:
     is the classical scale matrix, so the covariance is df/(df-2) times it.
 
     The symmetric square root of the shape matrix is computed once at
-    construction and reused by every :func:`draw` call.
+    construction and reused by every :func:`draw` call; for the identity
+    shape it is ``None`` and :func:`draw` skips the rotation.
     """
 
     model: str
@@ -67,14 +68,10 @@ class DistributionSpec:
             raise InvalidScenario(
                 f"shape matrix is {self.shape.p}x{self.shape.p} but theta has length {theta.size}"
             )
-        identity = np.eye(self.shape.p)
         # the square root of I is I: skip the O(p^3) eigendecomposition
-        if np.array_equal(self.shape.omega, identity):
-            root = identity
-        else:
-            root = symmetric_sqrt(self.shape.omega)
-        object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_root_is_identity", bool(np.array_equal(root, identity)))
+        # and the rotation (None stands for the identity)
+        identity = np.array_equal(self.shape.omega, np.eye(self.shape.p))
+        object.__setattr__(self, "_root", None if identity else symmetric_sqrt(self.shape.omega))
 
 
 def draw(spec: DistributionSpec, n: int, seed: int) -> Sample:
@@ -101,7 +98,7 @@ def draw(spec: DistributionSpec, n: int, seed: int) -> Sample:
             # the mixing divisor inflates the scale matrix by df/(df-2); shrink
             # the square root so the supplied matrix is the covariance
             core *= np.sqrt((spec.df - 2.0) / spec.df)
-    if not spec._root_is_identity:
+    if spec._root is not None:
         core = core @ spec._root
     return validate_sample(spec.theta[None, :] + core)
 

@@ -259,6 +259,34 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["runtime_seconds"] is None
+    assert main(["simulate", "--config", str(config), "--format", "json", "--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert all(isinstance(row["runtime_seconds"], float) and row["runtime_seconds"] > 0 for row in timed)
+
+
+def test_simulate_error_reports_its_own_type(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "experiment": "coverage", "n": 1, "p": 3, "replications": 2, "B": 10, "seed": 1,
+    }))
+    assert main(["simulate", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidScenario"
+    assert error["message"].startswith("scenario 'gaussian-rho0-n1-p3' replication 0: ")
+
+
+def test_markdown_format_tabulates_the_json_payload(tmp_path, capsys):
+    data = _write_sample(tmp_path)
+    assert main(["estimate", "--in", data]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["estimate", "--in", data, "--format", "markdown"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| field | value |", "| --- | --- |"]
+    cells = [line[2:-2].split(" | ") for line in lines[2:]]
+    assert len(cells) == len(payload)
+    assert {key: json.loads(value) for key, value in cells} == payload
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -27,7 +27,8 @@ from geomedian import (
     sci,
     theta_vector,
 )
-from geomedian.errors import InvalidScenario
+from geomedian import harness
+from geomedian.errors import DidNotConverge, InvalidScenario
 from geomedian.harness import COLUMNS
 from geomedian.streams import NS_HARNESS
 
@@ -304,3 +305,31 @@ def test_scenario_validation():
 def test_scenario_rejects_workers_below_one(workers):
     with pytest.raises(InvalidScenario, match="workers must be >= 1"):
         _coverage_spec(workers=workers)
+
+
+def test_replication_error_keeps_its_type_and_names_the_replication():
+    spec = ScenarioSpec(experiment="coverage", n=1, p=3, replications=2, B=10, seed=1)
+    with pytest.raises(InvalidScenario) as info:
+        run_coverage(spec)
+    assert str(info.value) == (
+        "scenario 'gaussian-rho0-n1-p3' replication 0: need n >= 2 observations for bootstrap calibration"
+    )
+
+
+def test_replication_error_keeps_its_attributes(monkeypatch):
+    def stalled(sample):
+        raise DidNotConverge(7, 0.5, replicate=3)
+
+    monkeypatch.setattr(harness, "spatial_median", stalled)
+    spec = ScenarioSpec(experiment="are", n=6, p=2, replications=2, seed=1, name="stall")
+    with pytest.raises(DidNotConverge) as info:
+        run_are(spec)
+    err = info.value
+    assert (err.iterations, err.grad_norm, err.replicate) == (7, 0.5, 3)
+    assert str(err).startswith("scenario 'stall' replication 0: no convergence after 7 iterations")
+
+
+def test_label_prefers_the_given_name():
+    assert _coverage_spec(name="desk run").label() == "desk run"
+    assert _coverage_spec().label() == "gaussian-rho0-n15-p4"
+    assert ScenarioSpec(experiment="are", model="student_t", df=3.0, p=7).label() == "student_t-rho0-n100-p7-df3"

@@ -77,11 +77,11 @@ def test_identity_shape_skips_the_square_root(monkeypatch):
 
     monkeypatch.setattr(simdata, "symmetric_sqrt", spy)
     spec = _spec("student_t", 6, df=4.0)
-    assert calls == [] and spec._root_is_identity
+    assert calls == [] and spec._root is None
     # the rows are the unrotated core, exactly as with the computed root sqrt(I) = I
     rotated = draw(spec, 30, seed=5).values @ symmetric_sqrt(np.eye(6))
     assert np.array_equal(draw(spec, 30, seed=5).values, rotated)
-    assert not _spec("gaussian", 6, rho=0.3)._root_is_identity
+    assert _spec("gaussian", 6, rho=0.3)._root is not None
     assert len(calls) == 1
 
 
