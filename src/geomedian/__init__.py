@@ -14,7 +14,6 @@ from .bootstrap import (
     bootstrap_spatial_median,
     conditional_variance,
     quantile,
-    write_stats_csv,
 )
 from .data import (
     Sample,
@@ -31,7 +30,6 @@ from .estimator import (
     bahadur_remainder,
     gmom,
     spatial_median,
-    spatial_sign,
 )
 from .harness import (
     MetricsTable,
@@ -105,11 +103,9 @@ __all__ = [
     "scenario_from_json",
     "sci",
     "spatial_median",
-    "spatial_sign",
     "substream",
     "symmetric_sqrt",
     "theta_vector",
     "validate_sample",
     "write_csv",
-    "write_stats_csv",
 ]

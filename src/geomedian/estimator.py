@@ -51,7 +51,9 @@ class SolverConfig:
     """Weiszfeld solver knobs.
 
     ``tol`` bounds the relative iterate change, ``grad_tol`` the per-observation
-    estimating-equation residual; both must hold to declare convergence.
+    estimating-equation residual; both must hold to declare convergence.  The
+    defaults serve fits; the bootstrap passes its own ``tol`` (1e-6) to its
+    replicates and keeps ``grad_tol``.
     ``anchor_eps`` is relative to the data scale: points within that radius of
     the iterate are treated as coincident with it.
 
@@ -86,15 +88,6 @@ class SpatialMedianFit:
     grad_norm: float
     zeta1_hat: float
     b_diag_hat: np.ndarray
-
-
-def spatial_sign(x) -> np.ndarray:
-    """Unit direction x/||x||, or the zero vector when x = 0."""
-    v = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(v)
-    return v / norm
 
 
 def _data_scale(values) -> float:
@@ -339,16 +332,19 @@ def _solve_batch(coords, signs, config, start):
         numer = coords.combine(weights)
         resid = numer - denom[:, None] * ba
         resid_norm = coords.norm(resid)
+        # new - ba = resid / denom, so the step norm needs no third product
         with np.errstate(invalid="ignore"):  # 0/0 in rows whose every point coincides
             new = np.divide(numer, denom[:, None], out=numer)
+            step = resid_norm / denom
         at = np.nonzero(eta)[0]
         if at.size:
             target = np.where(denom[at, None] > 0, new[at], ba[at])
             with np.errstate(divide="ignore"):  # R = 0 gives lambda = min(1, inf) = 1
-                lam = np.minimum(1.0, eta[at] / resid_norm[at])[:, None]
-            new[at] = (1.0 - lam) * target + lam * ba[at]
+                lam = np.minimum(1.0, eta[at] / resid_norm[at])
+            new[at] = (1.0 - lam[:, None]) * target + lam[:, None] * ba[at]
+            # the blend scales the step by 1 - lambda; a row with denom = 0 stays put
+            step[at] = np.where(denom[at] > 0, (1.0 - lam) * step[at], 0.0)
 
-        step = coords.norm(new - ba)
         denom_change = np.maximum(1.0, np.sqrt(sq))
         grad_ok = (resid_norm <= grad_bound) | (resid_norm <= eta)
         done = (step / denom_change < config.tol) & grad_ok

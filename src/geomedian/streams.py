@@ -35,6 +35,9 @@ _W1 = 0xBB67AE8584CAA73B
 _ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+# the two lanes' multipliers, split into 32-bit halves, one lane per leading row
+_M_LO = np.array([_M0 & 0xFFFFFFFF, _M1 & 0xFFFFFFFF], dtype=np.uint64)[:, None, None]
+_M_HI = np.array([_M0 >> 32, _M1 >> 32], dtype=np.uint64)[:, None, None]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -57,37 +60,33 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, elementwise.
-
-    Built from 32-bit half products, each of which fits in a uint64.
-    """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
-    ll = m_lo * x_lo
-    lh = m_lo * x_hi
-    hl = m_hi * x_lo
-    mid = (ll >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
-    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    lo = (mid << _SHIFT32) | (ll & _MASK32)
-    return hi, lo
-
-
 def _philox4x64(c0, c1, c2, c3, key: tuple[int, int]) -> np.ndarray:
     """Philox4x64-10 bijection of the counters (c0, c1, c2, c3) under ``key``.
 
     The counters are uint64 arrays of one shape; the result stacks the four
-    output words on a new last axis.
+    output words on a new last axis.  Both multiply lanes of a round run on
+    one stacked array: ``x`` holds (c0, c2), the words multiplied by (M0, M1),
+    and ``y`` holds (c1, c3).  Each 64x64 -> 128-bit product is built from
+    32-bit half products, each of which fits in a uint64.
     """
-    k0, k1 = key
+    # key schedule in Python integers: uint64 scalars warn on wraparound
+    schedule, (k0, k1) = [], key
+    for _ in range(_ROUNDS):
+        schedule.append((k0, k1))
+        k0, k1 = (k0 + _W0) & 0xFFFFFFFFFFFFFFFF, (k1 + _W1) & 0xFFFFFFFFFFFFFFFF
+    round_keys = np.array(schedule, dtype=np.uint64)[:, :, None, None]
+    x = np.stack(np.broadcast_arrays(c0, c2))
+    y = np.stack(np.broadcast_arrays(c1, c3))
     for r in range(_ROUNDS):
-        if r:
-            # key schedule in Python integers: uint64 scalars warn on wraparound
-            k0, k1 = (k0 + _W0) & 0xFFFFFFFFFFFFFFFF, (k1 + _W1) & 0xFFFFFFFFFFFFFFFF
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1)
+        x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+        ll = _M_LO * x_lo
+        lh = _M_LO * x_hi
+        hl = _M_HI * x_lo
+        mid = (ll >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
+        hi = _M_HI * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+        lo = (mid << _SHIFT32) | (ll & _MASK32)
+        x, y = hi[::-1] ^ y ^ round_keys[r], lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1)
 
 
 def rademacher(seed: int, namespace: int, first: int, count: int, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,9 +15,8 @@ from geomedian import (
     sci,
     spatial_median,
     validate_sample,
-    write_stats_csv,
 )
-from geomedian.bootstrap import BootstrapDraws
+from geomedian.bootstrap import _REPLICATE_CONFIG, BootstrapDraws
 from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, InvalidScenario, TooFewDraws
 from geomedian.estimator import _PointCoords, _solve_batch, _SpanCoords
@@ -197,9 +198,48 @@ def test_span_solve_matches_point_solve(model, df, rho):
     assert np.array_equal(span_iters, point_iters)
     span_stats = np.sqrt(n) * np.abs(span_beta).max(axis=1)
     assert_allclose(span_stats, np.sqrt(n) * np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
-    # the bootstrap dispatches this shape to the span solve
+    # the bootstrap dispatches this shape to the span solve, under its
+    # replicate config
+    replicate_beta, _, _ = _solve_batch(_SpanCoords(residuals), signs, _REPLICATE_CONFIG, np.zeros((B, n)))
     draws = bootstrap_spatial_median(sample, fit, B, seed=5)
-    assert np.array_equal(draws.stats, span_stats)
+    assert np.array_equal(draws.stats, np.sqrt(n) * np.abs(replicate_beta).max(axis=1))
+
+
+def _duplicated_rows(rng, p):
+    """Two zero rows, one row eight times over and two more rows (n = 12)."""
+    return np.vstack([np.zeros((2, p)), np.tile(rng.standard_normal(p), (8, 1)), rng.standard_normal((2, p))])
+
+
+@pytest.mark.parametrize(
+    "values, center, rtol",
+    [
+        (draw(DistributionSpec("student_t", np.zeros(100), ar1_shape(100, 0.0), df=3.0), 100, seed=41).values,
+         None, 1e-6),
+        (draw(DistributionSpec("gaussian", np.zeros(200), ar1_shape(200, 0.8)), 30, seed=42).values, None, 1e-6),
+        # centred at the shift, so the replicates see the duplicated rows
+        # themselves: repairs, anchoring and vertex snaps fire, and a few
+        # replicates crawl near a vertex, where the certificate leaves up to
+        # 4.6e-6 relative in the statistic
+        (_duplicated_rows(np.random.default_rng(0), 25) + 0.5, 0.5, 1e-5),
+        (np.random.default_rng(43).standard_normal((30, 5)) * 1e-8, None, 1e-6),
+    ],
+    ids=["t3_100x100", "ar1_30x200_span", "duplicated_rows", "x1e-8"],
+)
+def test_replicates_meet_the_residual_certificate(values, center, rtol):
+    # replicates stop at a coarser iterate change than fits, but each still
+    # satisfies the estimating equation to the fits' per-observation bound
+    sample = validate_sample(values)
+    fit = spatial_median(sample)
+    if center is not None:
+        fit = dataclasses.replace(fit, theta_hat=np.full(sample.p, center))
+    B, seed = 64, 6
+    draws = bootstrap_spatial_median(sample, fit, B, seed, keep_vectors=True)
+    signs = rademacher(seed, NS_BOOT_MEDIAN, 0, B, sample.n)
+    residuals = sample.values - fit.theta_hat
+    for b in range(B):
+        assert is_distance_sum_minimizer(signs[b, :, None] * residuals, draws.vectors[b], tol=1e-7)
+    exact = bootstrap_spatial_median(sample, fit, B, seed, config=SolverConfig())
+    assert_allclose(draws.stats, exact.stats, rtol=rtol, atol=0.0)
 
 
 def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
@@ -208,7 +248,7 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
     # (vertex snap); n = 12 < p = 25
     rng = np.random.default_rng(0)
     p = 25
-    residuals = np.vstack([np.zeros((2, p)), np.tile(rng.standard_normal(p), (8, 1)), rng.standard_normal((2, p))])
+    residuals = _duplicated_rows(rng, p)
     n = residuals.shape[0]
     signs = rng.choice([-1.0, 1.0], size=(64, n))
 
@@ -292,15 +332,6 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     multiplied = signs[:, :, None] * points
     for b in range(m):
         assert is_distance_sum_minimizer(multiplied[b], beta[b])
-
-
-def test_stats_csv_round_trip(tmp_path):
-    draws = _draws([0.5, 1.5, 2.5])
-    path = tmp_path / "stats.csv"
-    write_stats_csv(draws, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "stat"
-    assert [float(v) for v in lines[1:]] == [0.5, 1.5, 2.5]
 
 
 def test_draws_are_immutable():

@@ -12,7 +12,6 @@ from geomedian import (
     gmom,
     sci,
     spatial_median,
-    spatial_sign,
     validate_sample,
 )
 from geomedian import bootstrap, estimator
@@ -21,15 +20,6 @@ from geomedian.estimator import _fit_center, _PointCoords
 from geomedian.streams import NS_BLOCKS, substream
 
 from _oracles import is_distance_sum_minimizer, nested_grid_minimizer, subgradient_minimizer
-
-
-def test_spatial_sign_unit_normalization():
-    assert_allclose(spatial_sign([3.0, 4.0]), [0.6, 0.8])
-    assert_allclose(spatial_sign([-2.0, 0.0, 0.0]), [-1.0, 0.0, 0.0])
-
-
-def test_spatial_sign_zero_convention():
-    assert_allclose(spatial_sign([0.0, 0.0]), [0.0, 0.0])
 
 
 def test_univariate_median():
