@@ -25,7 +25,6 @@ from .data import (
     write_csv,
 )
 from .estimator import (
-    SolverConfig,
     SpatialMedianFit,
     bahadur_remainder,
     gmom,
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioSpec",
     "SciResult",
     "ShapeMatrix",
-    "SolverConfig",
     "SpatialMedianFit",
     "ThetaPattern",
     "ar1_shape",

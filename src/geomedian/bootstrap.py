@@ -48,19 +48,15 @@ class BootstrapDraws:
     """Replicate max-norm statistics of a sample with ``n_obs`` observations.
 
     ``stats`` holds one sqrt(n) * max-norm per replicate, so ``B`` is its
-    length.  ``vectors`` optionally holds the full replicate center vectors
-    (B x p), for callers that need more than the max-norms.
+    length.
     """
 
     stats: np.ndarray
     n_obs: int
-    vectors: np.ndarray | None = None
 
     def __post_init__(self):
         if self.stats.ndim != 1:
             raise InvalidScenario("stats must be one-dimensional")
-        if self.vectors is not None and self.vectors.shape[0] != self.B:
-            raise InvalidScenario("vectors must have one row per replicate")
 
     @property
     def B(self) -> int:
@@ -84,7 +80,7 @@ def _parallel_map(func, items, workers: int) -> None:
 
 
 def _multiplier_bootstrap(
-    sample: Sample, solve, namespace: int, B: int, seed: int, workers: int, keep_vectors: bool
+    sample: Sample, solve, namespace: int, B: int, seed: int, workers: int
 ) -> BootstrapDraws:
     """Run B sign-multiplier replicates through ``solve(signs) -> centers``.
 
@@ -97,7 +93,6 @@ def _multiplier_bootstrap(
     n = sample.n
     root_n = np.sqrt(n)
     stats = np.empty(B)
-    vectors = np.empty((B, sample.p)) if keep_vectors else None
 
     def run_batch(span):
         lo, hi = span
@@ -112,34 +107,23 @@ def _multiplier_bootstrap(
         # zeros whose max(max, -min) may come out as -0.0
         peak = np.maximum(centers.max(axis=1), -centers.min(axis=1))
         stats[lo:hi] = root_n * np.abs(peak)
-        if vectors is not None:
-            vectors[lo:hi] = centers
 
     _parallel_map(run_batch, [(lo, min(lo + _BATCH, B)) for lo in range(0, B, _BATCH)], workers)
     stats.flags.writeable = False
-    if vectors is not None:
-        vectors.flags.writeable = False
-    return BootstrapDraws(stats=stats, n_obs=n, vectors=vectors)
+    return BootstrapDraws(stats=stats, n_obs=n)
 
 
 def bootstrap_spatial_median(
-    sample: Sample,
-    fit: SpatialMedianFit,
-    B: int,
-    seed: int,
-    config: SolverConfig | None = None,
-    workers: int = 1,
-    keep_vectors: bool = False,
+    sample: Sample, fit: SpatialMedianFit, B: int, seed: int, workers: int = 1
 ) -> BootstrapDraws:
     """Re-solve the spatial median of sign-multiplied residuals, B times.
 
     Replicate b minimizes sum_i ||Z_i (X_i - theta_hat) - beta|| with fresh
-    random signs Z and records sqrt(n) * max|beta|.  Without ``config``,
-    replicates stop at ``tol = 1e-6`` under the fits' residual certificate
+    random signs Z and records sqrt(n) * max|beta|.  Replicates stop at
+    ``tol = 1e-6`` under the fits' residual certificate
     (``_REPLICATE_CONFIG``).  A replicate that fails to converge raises
     DidNotConverge carrying its index.
     """
-    cfg = config or _REPLICATE_CONFIG
     residuals = sample.values - fit.theta_hat
     # replicates start at the origin, the center of the sign-symmetric
     # replicate law, so with p > n they can iterate in the n-dimensional span
@@ -148,14 +132,12 @@ def bootstrap_spatial_median(
     coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
 
     def solve(signs):
-        return _solve_batch(coords, signs, cfg, np.zeros((signs.shape[0], coords.width)))[0]
+        return _solve_batch(coords, signs, _REPLICATE_CONFIG, np.zeros((signs.shape[0], coords.width)))[0]
 
-    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEDIAN, B, seed, workers, keep_vectors)
+    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEDIAN, B, seed, workers)
 
 
-def bootstrap_mean(
-    sample: Sample, B: int, seed: int, workers: int = 1, keep_vectors: bool = False
-) -> BootstrapDraws:
+def bootstrap_mean(sample: Sample, B: int, seed: int, workers: int = 1) -> BootstrapDraws:
     """Multiplier bootstrap for the sample mean.
 
     Replicate b records sqrt(n) * max|mean_i Z_i (X_i - xbar)|.
@@ -165,7 +147,7 @@ def bootstrap_mean(
     def solve(signs):
         return (signs @ centered) / sample.n
 
-    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, B, seed, workers, keep_vectors)
+    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, B, seed, workers)
 
 
 def _check_level(level) -> None:

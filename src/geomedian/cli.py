@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import ar1_shape, read_csv, validate_vector, write_csv
+from .data import _csv_text, ar1_shape, read_csv, validate_vector
 from .errors import GeomedianError
 from .estimator import gmom, spatial_median
 from .harness import emit_report, run_scenario, scenario_from_json
@@ -225,12 +225,7 @@ def _cmd_generate(args) -> str:
         df=obj.get("df"),
         t_mode=obj.get("t_mode", T_MODE_COVARIANCE),
     )
-    sample = draw(spec, n, int(seed))
-    if args.out:
-        write_csv(args.out, sample.values)
-        return ""
-    lines = [",".join(repr(float(x)) for x in row) for row in sample.values]
-    return "\n".join(lines) + "\n"
+    return _csv_text(draw(spec, n, int(seed)).values)
 
 
 def _cmd_simulate(args) -> str:

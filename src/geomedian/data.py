@@ -14,16 +14,15 @@ import numpy as np
 from .errors import EmptyInput, InvalidDf, InvalidRho, NonFiniteEntry, NotPSD
 
 _SYM_RTOL = 1e-12
-_TRACE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Sample:
     """Immutable n x p data matrix, one observation per row.
 
-    ``_fits`` memoises the spatial median of this sample per solver
-    configuration (see :func:`geomedian.estimator.spatial_median`), so
-    intervals, global tests and screening on one sample share one fit.  The
+    ``_fit`` memoises the spatial median of this sample (see
+    :func:`geomedian.estimator.spatial_median`), so intervals, global tests
+    and screening on one sample share one fit; it is None until then.  The
     memo is sound because the data do not change: :func:`validate_sample`,
     the only constructor, copies the values and makes them read-only, the
     cached fit's arrays are read-only too, and the solver is deterministic,
@@ -32,7 +31,7 @@ class Sample:
     """
 
     values: np.ndarray
-    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fit: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -167,11 +166,13 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def write_csv(path, values, header: list[str] | None = None) -> None:
-    """Write a matrix as comma-separated rows, mirroring :func:`read_csv`."""
+def _csv_text(values) -> str:
+    """A matrix as comma-separated rows, each value in its shortest round-trip form."""
     m = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+
+
+def write_csv(path, values) -> None:
+    """Write a matrix as comma-separated rows, mirroring :func:`read_csv`."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in m:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.write(_csv_text(values))

@@ -28,6 +28,7 @@ instead of O(n p).  Both share one update rule; vertex checks, distance
 repairs and the Newton finish always work on points of R^p.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,12 @@ _REPAIR_REL = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Weiszfeld solver knobs.
+    """Settings of one Weiszfeld solve, fixed by the method (no public knob).
 
     ``tol`` bounds the relative iterate change, ``grad_tol`` the per-observation
-    estimating-equation residual; both must hold to declare convergence.  The
-    defaults serve fits; the bootstrap passes its own ``tol`` (1e-6) to its
-    replicates and keeps ``grad_tol``.
+    estimating-equation residual; both must hold to declare convergence.  Fits
+    use the defaults (``_FIT_CONFIG``); bootstrap replicates stop at a coarser
+    ``tol`` and keep ``grad_tol`` (``bootstrap._REPLICATE_CONFIG``).
     ``anchor_eps`` is relative to the data scale: points within that radius of
     the iterate are treated as coincident with it.
 
@@ -67,9 +68,10 @@ class SolverConfig:
     anchor_eps: float = 1e-12
     grad_tol: float = 1e-7
 
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or self.anchor_eps <= 0 or self.grad_tol <= 0:
-            raise InvalidScenario("tol, max_iter, anchor_eps and grad_tol must be positive")
+
+# Every spatial-median fit and median-of-means solves to the defaults.
+_FIT_CONFIG = SolverConfig()
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,7 @@ def _fit_center(points, config):
     return beta[0], int(iters[0]), coords.scale
 
 
-def spatial_median(sample: Sample, config: SolverConfig | None = None) -> SpatialMedianFit:
+def spatial_median(sample: Sample) -> SpatialMedianFit:
     """Minimize the total Euclidean distance to the observations.
 
     Initialization is the coordinate-wise median.  Residual-based quantities
@@ -391,20 +393,19 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
     Uniqueness requires the observations not to be collinear when p > 2; for
     collinear inputs the solver simply reports the minimizer it reaches.
 
-    Fits are shared per (sample, config): the first successful fit is stored
-    on the sample and returned to every later call with an equal config.  A
-    solve that raises stores nothing.
+    Fits are shared per sample: the first successful fit is stored on the
+    sample and returned to every later call.  A solve that raises stores
+    nothing.
     """
-    cfg = config or SolverConfig()
-    memo = sample._fits.get(cfg)
+    memo = sample._fit
     if memo is not None:
         return memo
     x = sample.values
-    theta, iterations, scale = _fit_center(x, cfg)
+    theta, iterations, scale = _fit_center(x, _FIT_CONFIG)
 
     residuals = x - theta
     norms = np.linalg.norm(residuals, axis=1)
-    nonzero = norms > cfg.anchor_eps * scale
+    nonzero = norms > _FIT_CONFIG.anchor_eps * scale
     k = int(nonzero.sum())
     if k:
         directions = residuals[nonzero] / norms[nonzero, None]
@@ -426,11 +427,15 @@ def spatial_median(sample: Sample, config: SolverConfig | None = None) -> Spatia
         zeta1_hat=zeta1,
         b_diag_hat=b_diag,
     )
-    # setdefault: concurrent first calls all return the one stored fit
-    return sample._fits.setdefault(cfg, fit)
+    # concurrent first calls all return the one stored fit; the lock guards
+    # only this store, never a solve
+    with _MEMO_LOCK:
+        if sample._fit is None:
+            object.__setattr__(sample, "_fit", fit)
+    return sample._fit
 
 
-def gmom(sample: Sample, k_blocks: int, config: SolverConfig | None = None, seed: int = 0) -> np.ndarray:
+def gmom(sample: Sample, k_blocks: int, seed: int = 0) -> np.ndarray:
     """Geometric median-of-means: spatial median of disjoint-block means.
 
     Rows are permuted by a stream keyed by ``seed``, then split into
@@ -439,10 +444,9 @@ def gmom(sample: Sample, k_blocks: int, config: SolverConfig | None = None, seed
     n = sample.n
     if not 1 <= k_blocks <= n:
         raise InvalidScenario(f"k_blocks must lie in [1, {n}], got {k_blocks}")
-    cfg = config or SolverConfig()
     perm = substream(seed, NS_BLOCKS).permutation(n)
     means = np.stack([sample.values[rows].mean(axis=0) for rows in np.array_split(perm, k_blocks)])
-    return _fit_center(means, cfg)[0]
+    return _fit_center(means, _FIT_CONFIG)[0]
 
 
 def _unit_rows(centered: np.ndarray) -> np.ndarray:

@@ -430,6 +430,16 @@ def run_scenario(spec: ScenarioSpec, workers: int | None = None, include_runtime
     return _RUNNERS[spec.experiment](spec, workers=workers, include_runtime=include_runtime)
 
 
+# JSON types of the numeric and list fields
+_JSON_TYPES = {
+    **dict.fromkeys(("n", "p", "replications", "B", "seed", "workers"), int),
+    **dict.fromkeys(("rho", "c0"), (int, float)),
+    "df": (int, float, type(None)),
+    **dict.fromkeys(("levels", "methods"), (list, tuple)),
+    **dict.fromkeys(("kappa_grid", "p_grid", "n_grid"), (list, tuple, type(None))),
+}
+
+
 def scenario_from_json(obj: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from its JSON object form."""
     if "experiment" not in obj:
@@ -440,8 +450,10 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
     unknown = set(obj) - known
     if unknown:
         raise InvalidScenario(f"unknown scenario fields {sorted(unknown)}")
-    kwargs = {k: obj[k] for k in known - {"theta"} if k in obj}
-    for tup in ("levels", "kappa_grid", "methods", "p_grid", "n_grid"):
-        if kwargs.get(tup) is not None:
-            kwargs[tup] = tuple(kwargs[tup])
+    kwargs = {key: value for key, value in obj.items() if key != "theta"}
+    for key, value in kwargs.items():
+        if not isinstance(value, _JSON_TYPES.get(key, object)):
+            raise InvalidScenario(f"scenario field {key!r} has the wrong JSON type: {value!r}")
+        if isinstance(value, list):
+            kwargs[key] = tuple(value)
     return ScenarioSpec(theta=ThetaPattern.from_json(obj.get("theta", {})), **kwargs)

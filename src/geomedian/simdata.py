@@ -129,8 +129,12 @@ class ThetaPattern:
     @classmethod
     def from_json(cls, obj: dict) -> "ThetaPattern":
         """Build a pattern from its JSON object form; absent fields take the defaults."""
-        knobs = {key: float(obj[key]) for key in ("kappa", "c0", "scale") if key in obj}
-        return cls(kind=obj.get("kind", PATTERN_ZERO), **knobs)
+        if not isinstance(obj, dict):
+            raise InvalidScenario(f"theta must be a JSON object, got {obj!r}")
+        knobs = {key: obj[key] for key in ("kappa", "c0", "scale") if key in obj}
+        if not all(isinstance(value, (int, float)) for value in knobs.values()):
+            raise InvalidScenario(f"theta's kappa, c0 and scale must be numbers, got {knobs!r}")
+        return cls(kind=obj.get("kind", PATTERN_ZERO), **{key: float(value) for key, value in knobs.items()})
 
 
 def theta_vector(pattern: ThetaPattern, p: int, n: int) -> np.ndarray:

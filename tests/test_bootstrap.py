@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from geomedian import (
     ScenarioSpec,
-    SolverConfig,
     bootstrap_mean,
     bootstrap_spatial_median,
     conditional_variance,
@@ -19,7 +18,7 @@ from geomedian import (
 from geomedian.bootstrap import _REPLICATE_CONFIG, BootstrapDraws
 from geomedian.data import ar1_shape
 from geomedian.errors import InvalidLevel, InvalidScenario, TooFewDraws
-from geomedian.estimator import _PointCoords, _solve_batch, _SpanCoords
+from geomedian.estimator import SolverConfig, _PointCoords, _solve_batch, _SpanCoords
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
@@ -233,13 +232,19 @@ def test_replicates_meet_the_residual_certificate(values, center, rtol):
     if center is not None:
         fit = dataclasses.replace(fit, theta_hat=np.full(sample.p, center))
     B, seed = 64, 6
-    draws = bootstrap_spatial_median(sample, fit, B, seed, keep_vectors=True)
+    draws = bootstrap_spatial_median(sample, fit, B, seed)
     signs = rademacher(seed, NS_BOOT_MEDIAN, 0, B, sample.n)
     residuals = sample.values - fit.theta_hat
+    # the replicate centres, solved as the bootstrap solves them: one batch,
+    # in the representation its shape selects
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
+    zeros = np.zeros((B, coords.width))
+    centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG, zeros)
+    assert np.array_equal(draws.stats, np.sqrt(sample.n) * np.abs(centres).max(axis=1))
     for b in range(B):
-        assert is_distance_sum_minimizer(signs[b, :, None] * residuals, draws.vectors[b], tol=1e-7)
-    exact = bootstrap_spatial_median(sample, fit, B, seed, config=SolverConfig())
-    assert_allclose(draws.stats, exact.stats, rtol=rtol, atol=0.0)
+        assert is_distance_sum_minimizer(signs[b, :, None] * residuals, centres[b], tol=1e-7)
+    exact, _, _ = _solve_batch(coords, signs, SolverConfig(), zeros)
+    assert_allclose(draws.stats, np.sqrt(sample.n) * np.abs(exact).max(axis=1), rtol=rtol, atol=0.0)
 
 
 def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
@@ -339,20 +344,6 @@ def test_draws_are_immutable():
     draws = bootstrap_mean(sample, 32, seed=1)
     with pytest.raises(ValueError):
         draws.stats[0] = -1.0
-
-
-def test_keep_vectors_returns_full_replicate_centers():
-    rng = np.random.default_rng(12)
-    sample = validate_sample(rng.standard_normal((10, 3)))
-    fit = spatial_median(sample)
-    draws = bootstrap_spatial_median(sample, fit, 40, seed=2, keep_vectors=True)
-    assert draws.vectors.shape == (40, 3)
-    assert_allclose(np.sqrt(10) * np.abs(draws.vectors).max(axis=1), draws.stats)
-    lean = bootstrap_spatial_median(sample, fit, 40, seed=2)
-    assert lean.vectors is None
-    assert np.array_equal(lean.stats, draws.stats)
-    mean_draws = bootstrap_mean(sample, 40, seed=2, keep_vectors=True)
-    assert mean_draws.vectors.shape == (40, 3)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -277,6 +277,32 @@ def test_simulate_error_reports_its_own_type(tmp_path, capsys):
     assert error["message"].startswith("scenario 'gaussian-rho0-n1-p3' replication 0: ")
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("simulate", "theta", None),
+        ("simulate", "replications", "2"),
+        ("simulate", "levels", 0.9),
+        ("generate", "theta", 7),
+        ("generate", "theta", {"kappa": None}),
+    ],
+    ids=["theta_null", "replications_string", "levels_number", "generate_theta_number",
+         "generate_kappa_null"],
+)
+def test_mistyped_json_field_is_a_typed_error(tmp_path, capsys, command, field, value):
+    if command == "simulate":
+        base = {"experiment": "coverage", "n": 8, "p": 3, "replications": 2, "B": 10, "seed": 1}
+    else:
+        base = {"model": "gaussian", "n": 4, "p": 2, "seed": 1}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(base, **{field: value})))
+    assert main([command, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidScenario" and field in error["message"]
+
+
 def test_markdown_format_tabulates_the_json_payload(tmp_path, capsys):
     data = _write_sample(tmp_path)
     assert main(["estimate", "--in", data]) == 0

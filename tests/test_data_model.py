@@ -98,7 +98,7 @@ def test_csv_round_trip_plain(tmp_path):
 
 def test_csv_header_detected_and_skipped(tmp_path):
     path = tmp_path / "data.csv"
-    write_csv(path, [[1.5, 2.0], [3.0, 4.0]], header=["x1", "x2"])
+    path.write_text("x1,x2\n1.5,2.0\n3.0,4.0\n")
     s = read_csv(path)
     assert (s.n, s.p) == (2, 2)
     assert_allclose(s.values[0], [1.5, 2.0])

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geomedian import (
-    SolverConfig,
     bahadur_remainder,
     fdr_screen,
     global_test_median,
@@ -16,7 +15,7 @@ from geomedian import (
 )
 from geomedian import bootstrap, estimator
 from geomedian.errors import DegenerateRemainder, DegenerateSample, DidNotConverge, InvalidScenario
-from geomedian.estimator import _fit_center, _PointCoords
+from geomedian.estimator import SolverConfig, _fit_center, _PointCoords
 from geomedian.streams import NS_BLOCKS, substream
 
 from _oracles import is_distance_sum_minimizer, nested_grid_minimizer, subgradient_minimizer
@@ -230,52 +229,57 @@ def _procedures(take):
     ]
 
 
-def test_one_fit_per_sample_and_config(monkeypatch):
+def test_one_fit_per_sample(monkeypatch):
     x = np.random.default_rng(41).standard_t(3.0, (30, 5))
     fresh = _procedures(lambda: validate_sample(x))
     fits = _count_fits(monkeypatch)
     sample = validate_sample(x)
     assert _procedures(lambda: sample) == fresh
     assert fits == [(30, 5)]
-    assert spatial_median(sample, SolverConfig()) is spatial_median(sample)
+    assert spatial_median(sample) is sample._fit
     assert len(fits) == 1
-    tight = spatial_median(sample, SolverConfig(tol=1e-8))
-    assert len(fits) == 2 and tight is not spatial_median(sample)
-    assert spatial_median(sample, SolverConfig(tol=1e-8)) is tight
-    assert len(sample._fits) == 2
+    # another sample with the same values solves again, into its own slot
+    other = validate_sample(x)
+    assert spatial_median(other) is not sample._fit and len(fits) == 2
 
 
 @pytest.mark.parametrize(
     "x, config, error",
     [
         (np.random.default_rng(42).standard_normal((20, 4)), SolverConfig(max_iter=1), DidNotConverge),
-        (np.random.default_rng(42).standard_normal((20, 4)) * 1e200, None, DegenerateSample),
+        (np.random.default_rng(42).standard_normal((20, 4)) * 1e200, SolverConfig(), DegenerateSample),
     ],
     ids=["did_not_converge", "degenerate"],
 )
 def test_failed_fit_is_not_memoised(x, config, error, monkeypatch):
+    monkeypatch.setattr(estimator, "_FIT_CONFIG", config)
     fits = _count_fits(monkeypatch)
     sample = validate_sample(x)
     for attempt in (1, 2):
         with pytest.raises(error), np.errstate(all="ignore"):
-            spatial_median(sample, config)
+            spatial_median(sample)
         assert len(fits) == attempt
-    assert sample._fits == {}
+    assert sample._fit is None
 
 
 @pytest.mark.parametrize(
-    "solve, names_replicate",
+    "solve, module, config, names_replicate",
     [
-        (lambda sample, cfg: spatial_median(sample, cfg), False),
-        (lambda sample, cfg: gmom(sample, 5, cfg), False),
-        (lambda sample, cfg: bootstrap.bootstrap_spatial_median(sample, spatial_median(sample), 64, 3, cfg), True),
+        (lambda sample: spatial_median(sample), estimator, "_FIT_CONFIG", False),
+        (lambda sample: gmom(sample, 5), estimator, "_FIT_CONFIG", False),
+        # the bootstrap's own fit converges; only its replicates run out
+        (lambda sample: bootstrap.bootstrap_spatial_median(sample, spatial_median(sample), 64, 3),
+         bootstrap, "_REPLICATE_CONFIG", True),
     ],
     ids=["fit", "gmom", "bootstrap"],
 )
-def test_did_not_converge_names_a_replicate_only_in_the_bootstrap(solve, names_replicate):
+def test_did_not_converge_names_a_replicate_only_in_the_bootstrap(
+    solve, module, config, names_replicate, monkeypatch
+):
     sample = validate_sample(np.random.default_rng(42).standard_normal((20, 4)))
+    monkeypatch.setattr(module, config, SolverConfig(max_iter=1))
     with pytest.raises(DidNotConverge) as info:
-        solve(sample, SolverConfig(max_iter=1))
+        solve(sample)
     if names_replicate:
         assert isinstance(info.value.replicate, int) and 0 <= info.value.replicate < 64
         assert f"(bootstrap replicate {info.value.replicate})" in str(info.value)
@@ -300,7 +304,7 @@ def test_concurrent_first_fits_share_one_memo():
         sys.setswitchinterval(interval)
     assert all(f.theta_hat.tobytes() == expected for f in got)
     # every caller holds the one stored fit, none a private duplicate
-    assert len({id(f) for f in got}) == 1 and list(sample._fits.values()) == [got[0]]
+    assert len({id(f) for f in got}) == 1 and sample._fit is got[0]
 
 
 def test_memoised_fit_is_read_only():

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from geomedian import (
     DistributionSpec,
-    SolverConfig,
     ThetaPattern,
     ar1_shape,
     are_analytic,
@@ -38,7 +37,7 @@ from geomedian.errors import (
     ZeroVariance,
 )
 from geomedian import inference
-from geomedian.estimator import _PointCoords, _solve_batch
+from geomedian.estimator import SolverConfig, _PointCoords, _solve_batch
 from geomedian.inference import _two_sided_p
 
 from _oracles import all_sign_patterns, are_gaussian_even_p

@@ -18,9 +18,10 @@ The corpus:
   csv and json for coverage (p > n and p < n), size_power with all four
   tests, fdr and are.  An entry hashes the exit code, stdout and stderr, so
   a changed error is a changed digest.
-- ``solver/...``: fits, gmom, both bootstraps and direct batched solves
-  (``_solve_batch`` from the origin, in R^p and in span coordinates) on small
-  inputs that reach every solver rescue.
+- ``solver/...``: fits, gmom, the statistics of both bootstraps and direct
+  batched solves (``_solve_batch`` from the origin, in R^p and in span
+  coordinates, which hash the replicate centres) on small inputs that reach
+  every solver rescue.
 - ``scale/...``: a fit and intervals on one sample scaled and shifted to
   extreme magnitudes.
 - ``highdim/...``: a global test then intervals on one sample at n = 100,
@@ -187,7 +188,8 @@ def _fit_parts(fit):
 
 
 def _draws_parts(draws):
-    return (draws.stats, draws.vectors)
+    # replicate centres are hashed by the solver/batch_* entries
+    return (draws.stats,)
 
 
 def _band_parts(band):
@@ -202,14 +204,14 @@ def solver_entries():
         yield f"solver/spatial_median/{name}", _entry(lambda: _fit_parts(estimator.spatial_median(sample)))
         yield f"solver/gmom/{name}", _entry(lambda: (estimator.gmom(sample, min(4, n), seed=7),))
         yield f"solver/bootstrap_mean/{name}", _entry(
-            lambda: _draws_parts(bootstrap.bootstrap_mean(sample, 64, 8, keep_vectors=True)))
+            lambda: _draws_parts(bootstrap.bootstrap_mean(sample, 64, 8)))
         try:
             fit = estimator.spatial_median(sample)
         except GeomedianError:
             continue
         for B in (64, 300):
             yield f"solver/bootstrap_median_B{B}/{name}", _entry(lambda: _draws_parts(
-                bootstrap.bootstrap_spatial_median(sample, fit, B, 8, keep_vectors=True, workers=2)))
+                bootstrap.bootstrap_spatial_median(sample, fit, B, 8, workers=2)))
         residuals = x - fit.theta_hat
         signs = np.where(np.random.default_rng(9).random((48, n)) < 0.5, -1.0, 1.0)
         yield f"solver/batch_point/{name}", _entry(lambda: estimator._solve_batch(
