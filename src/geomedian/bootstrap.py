@@ -3,10 +3,10 @@
 Each replicate multiplies the centered observations by independent random
 signs and records the scaled max-norm of the re-estimated center (spatial
 median target) or of the perturbed average (mean target).  A batch of
-replicates draws all its signs in one vectorised Philox call
-(:func:`geomedian.streams.rademacher`) whose counter carries the replicate
-index, so replicate b's signs depend only on (seed, namespace, b), not on
-the batch that draws them.  A replicate's solved center is not that
+replicates reads all its signs from the raw bits of the one (seed, namespace)
+substream (:func:`geomedian.streams.rademacher`), replicate b at an offset
+fixed by b and n, so replicate b's signs depend only on (seed, namespace, b),
+not on the batch that draws them.  A replicate's solved center is not that
 independent: it can move in the last bit with the other rows of its batch,
 because BLAS blocking follows the batch size and rows drop out of the
 products as they converge.  So B = 200 and the first 200 replicates of

@@ -17,10 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .data import _csv_text, ar1_shape, read_csv, validate_vector
-from .errors import GeomedianError
+from .data import _csv_text, ar1_shape, read_csv
+from .errors import DimensionMismatch, GeomedianError
 from .estimator import gmom, spatial_median
-from .harness import emit_report, run_scenario, scenario_from_json
+from .harness import _check_json_types, emit_report, run_scenario, scenario_from_json
 from .inference import (
     _require_plugin_scales,
     are_bootstrap,
@@ -134,9 +134,16 @@ def _render(args, payload: dict, csv_rows=None, csv_header=None) -> str:
 
 
 def _load_theta0(args, p: int) -> np.ndarray:
+    """The hypothesised center: zeros, or the one row of the --null CSV.
+
+    Its length is checked by the procedure it is passed to.
+    """
     if args.null == "zeros":
         return np.zeros(p)
-    return validate_vector(read_csv(args.null).values.reshape(-1), p)
+    rows = read_csv(args.null).values
+    if rows.shape[0] != 1:
+        raise DimensionMismatch(f"hypothesised center must be one CSV row, got {rows.shape[0]}")
+    return rows[0]
 
 
 def _cmd_estimate(args) -> str:
@@ -213,10 +220,11 @@ def _cmd_are(args) -> str:
 def _cmd_generate(args) -> str:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    _check_json_types(obj, "generate")
     seed = args.seed if args.seed is not None else obj.get("seed")
     if seed is None:
         raise _UsageError("generate is stochastic: provide --seed or a 'seed' field in the config")
-    n, p = int(obj["n"]), int(obj["p"])
+    n, p = obj["n"], obj["p"]
     theta = theta_vector(ThetaPattern.from_json(obj.get("theta", {})), n=n, p=p)
     spec = DistributionSpec(
         model=obj.get("model", "gaussian"),

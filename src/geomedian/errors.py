@@ -42,8 +42,9 @@ class DidNotConverge(GeomedianError):
 
 class DegenerateSample(GeomedianError):
     """Raised when the solver iterates enter a non-finite or oscillating state,
-    when a fit leaves its plug-in scales undefined (every residual zero), or
-    when bootstrap calibration gets a sample whose rows are all equal."""
+    when a fit leaves its plug-in scales undefined (every residual zero), when
+    bootstrap calibration gets a sample whose rows are all equal, or when the
+    replicate quantile behind an interval or a critical value is 0."""
 
 
 class DegenerateRemainder(GeomedianError):

@@ -440,6 +440,17 @@ _JSON_TYPES = {
 }
 
 
+def _check_json_types(obj: dict, what: str) -> None:
+    """Raise InvalidScenario unless ``obj`` is a JSON object whose fields all
+    have a JSON type that :data:`_JSON_TYPES` allows; the error names the
+    first field that does not, and fields the table does not list pass."""
+    if not isinstance(obj, dict):
+        raise InvalidScenario(f"{what} JSON must be an object, got {obj!r}")
+    for key, value in obj.items():
+        if not isinstance(value, _JSON_TYPES.get(key, object)):
+            raise InvalidScenario(f"{what} field {key!r} has the wrong JSON type: {value!r}")
+
+
 def scenario_from_json(obj: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from its JSON object form."""
     if "experiment" not in obj:
@@ -450,10 +461,8 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
     unknown = set(obj) - known
     if unknown:
         raise InvalidScenario(f"unknown scenario fields {sorted(unknown)}")
-    kwargs = {key: value for key, value in obj.items() if key != "theta"}
-    for key, value in kwargs.items():
-        if not isinstance(value, _JSON_TYPES.get(key, object)):
-            raise InvalidScenario(f"scenario field {key!r} has the wrong JSON type: {value!r}")
-        if isinstance(value, list):
-            kwargs[key] = tuple(value)
+    _check_json_types(obj, "scenario")
+    kwargs = {
+        key: tuple(value) if isinstance(value, list) else value for key, value in obj.items() if key != "theta"
+    }
     return ScenarioSpec(theta=ThetaPattern.from_json(obj.get("theta", {})), **kwargs)

@@ -141,8 +141,22 @@ def _calibrate(
     raise InvalidScenario(f"unknown bootstrap method {method!r}")
 
 
-def _sci_result(center: np.ndarray, draws: BootstrapDraws, level: float, method: str) -> SciResult:
+def _positive_quantile(draws: BootstrapDraws, level: float) -> float:
+    """The ``level`` replicate quantile; DegenerateSample if it is 0.
+
+    A zero quantile would give zero-width intervals or a zero critical value.
+    It happens when enough rows coincide that every replicate center sits at
+    the origin, or when the data are so small against the solver's unit-floored
+    radii that no replicate leaves it.
+    """
     q = quantile(draws, level)
+    if q == 0.0:
+        raise DegenerateSample(f"the {level:g} bootstrap quantile is 0: the replicate law is degenerate")
+    return q
+
+
+def _sci_result(center: np.ndarray, draws: BootstrapDraws, level: float, method: str) -> SciResult:
+    q = _positive_quantile(draws, level)
     half = q / np.sqrt(draws.n_obs)
     return SciResult(lower=center - half, upper=center + half, level=level, q_boot=q, method=method)
 
@@ -151,7 +165,7 @@ def _test_result(
     center: np.ndarray, draws: BootstrapDraws, theta0: np.ndarray, level: float, method: str
 ) -> GlobalTestResult:
     statistic = float(np.sqrt(draws.n_obs) * np.abs(center - theta0).max())
-    critical = quantile(draws, 1.0 - level)
+    critical = _positive_quantile(draws, 1.0 - level)
     p_value = float((1 + int((draws.stats >= statistic).sum())) / (draws.B + 1))
     return GlobalTestResult(
         statistic=statistic,
@@ -173,7 +187,8 @@ def sci(
     """Simultaneous confidence intervals for every coordinate of the center.
 
     Fits the chosen center, calibrates the max-norm by the matching multiplier
-    bootstrap, and returns center -/+ q/sqrt(n) per coordinate.
+    bootstrap, and returns center -/+ q/sqrt(n) per coordinate.  A zero q
+    raises DegenerateSample instead of returning zero-width intervals.
     """
     _check_level(level)
     center, draws = _calibrate(sample, method, B, seed, workers)

@@ -362,3 +362,17 @@ def test_worker_count_below_one_is_rejected(call, workers):
     sample = validate_sample(np.random.default_rng(3).standard_normal((10, 3)))
     with pytest.raises(InvalidScenario, match="workers must be >= 1"):
         call(sample, workers)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: bootstrap_spatial_median(s, spatial_median(s), 0, 1),
+        lambda s: bootstrap_mean(s, 0, 1),
+    ],
+    ids=["bootstrap_spatial_median", "bootstrap_mean"],
+)
+def test_replicate_count_below_one_is_rejected(call):
+    sample = validate_sample(np.random.default_rng(3).standard_normal((10, 3)))
+    with pytest.raises(InvalidScenario, match="B must be >= 1"):
+        call(sample)

@@ -185,6 +185,30 @@ def test_test_subcommand_against_null_file(tmp_path, capsys):
     assert set(payload) == {"method", "statistic", "critical_value", "p_value", "reject"}
 
 
+@pytest.mark.parametrize(
+    "command", [["test", "--method", "wpl"], ["test", "--seed", "3"], ["fdr"]], ids=["wpl", "median", "fdr"]
+)
+@pytest.mark.parametrize(
+    "null, message",
+    [
+        (np.zeros((1, 3)), "hypothesised center has length 3, expected 4"),
+        # four entries in all: flattened, it would pass as a length-4 center
+        (np.zeros((2, 2)), "hypothesised center must be one CSV row, got 2"),
+    ],
+    ids=["wrong_length", "two_rows"],
+)
+def test_null_file_must_be_one_row_of_the_sample_dimension(tmp_path, capsys, command, null, message):
+    # the CLI refuses a multi-row file and leaves the length check to the
+    # procedure, so it reports the same DimensionMismatch as the API
+    data = _write_sample(tmp_path, p=4)
+    null_path = tmp_path / "null.csv"
+    write_csv(null_path, null)
+    assert main([*command, "--in", data, "--null", str(null_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "DimensionMismatch", "message": message}
+
+
 def test_fdr_subcommand_json_and_csv(tmp_path, capsys):
     rng = np.random.default_rng(1)
     values = rng.standard_normal((40, 5)) * 0.3
@@ -285,9 +309,16 @@ def test_simulate_error_reports_its_own_type(tmp_path, capsys):
         ("simulate", "levels", 0.9),
         ("generate", "theta", 7),
         ("generate", "theta", {"kappa": None}),
+        ("generate", "n", None),
+        ("generate", "rho", None),
+        ("generate", "n", "x"),
+        ("generate", "p", 2.5),
+        ("generate", "seed", "1"),
+        ("generate", "df", "3"),
     ],
     ids=["theta_null", "replications_string", "levels_number", "generate_theta_number",
-         "generate_kappa_null"],
+         "generate_kappa_null", "generate_n_null", "generate_rho_null", "generate_n_string",
+         "generate_p_float", "generate_seed_string", "generate_df_string"],
 )
 def test_mistyped_json_field_is_a_typed_error(tmp_path, capsys, command, field, value):
     if command == "simulate":
@@ -301,6 +332,14 @@ def test_mistyped_json_field_is_a_typed_error(tmp_path, capsys, command, field, 
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "InvalidScenario" and field in error["message"]
+
+
+def test_generate_config_must_be_a_json_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert main(["generate", "--config", str(config), "--seed", "1"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "InvalidScenario", "message": "generate JSON must be an object, got [1, 2]"}
 
 
 def test_markdown_format_tabulates_the_json_payload(tmp_path, capsys):

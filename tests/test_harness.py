@@ -301,6 +301,14 @@ def test_scenario_validation():
         ScenarioSpec(experiment="nope")
 
 
+@pytest.mark.parametrize(
+    "field, message", [({"B": 0}, "B must be >= 1"), ({"model": "cauchy"}, "unknown model 'cauchy'")]
+)
+def test_scenario_rejects_bad_fields(field, message):
+    with pytest.raises(InvalidScenario, match=message):
+        _coverage_spec(**field)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_scenario_rejects_workers_below_one(workers):
     with pytest.raises(InvalidScenario, match="workers must be >= 1"):

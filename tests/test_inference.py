@@ -33,6 +33,7 @@ from geomedian.errors import (
     InvalidDf,
     InvalidLevel,
     InvalidScenario,
+    TooFewDraws,
     ZeroScale,
     ZeroVariance,
 )
@@ -155,6 +156,32 @@ def test_global_test_mean_constant_sample():
             global_test_mean(sample, np.array(theta0), 0.05, 100, seed=12)
         with pytest.raises(DegenerateSample, match="every observation is identical"):
             global_test_median(sample, np.array(theta0), 0.05, 100, seed=12)
+
+
+def _zero_repeat_sample():
+    # two zero rows and eight equal rows among twelve: the fit sits on the
+    # repeated row, and eight zero residuals put every replicate at the origin
+    x = np.random.default_rng(5).standard_normal((12, 8))
+    x[:2] = 0.0
+    x[2:10] = x[2]
+    return validate_sample(x)
+
+
+@pytest.mark.parametrize(
+    "procedure",
+    [
+        lambda: sci(_zero_repeat_sample(), 0.9, 200, 1),
+        lambda: global_test_median(_zero_repeat_sample(), np.zeros(8), 0.05, 200, 1),
+        # so small that no replicate moves off the origin
+        lambda: sci(validate_sample(np.random.default_rng(41).standard_normal((30, 5)) * 1e-15), 0.9, 200, 42),
+    ],
+    ids=["sci", "global_test_median", "sci_x1e-15"],
+)
+def test_zero_bootstrap_quantile_is_degenerate(procedure):
+    # not a constant sample, yet every replicate statistic is 0: a zero-width
+    # band or a zero critical value is refused, not returned
+    with pytest.raises(DegenerateSample, match="bootstrap quantile is 0"):
+        procedure()
 
 
 def test_wpl_antipodal_pair():
@@ -409,6 +436,21 @@ def test_are_analytic_gaussian_decreases_to_its_limit():
     values = [are_analytic("gaussian", p) for p in grid]
     assert (np.diff(values) < 0).all()
     assert all(v >= 1.0 - 1e-9 for v in values)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda s: sci(s, 0.9, 50, 1, method="trimmed"), InvalidScenario),
+        (lambda s: are_bootstrap(s, 1, 1), TooFewDraws),
+        (lambda s: are_analytic("gaussian", 1), InvalidScenario),
+    ],
+    ids=["calibrate_unknown_method", "are_bootstrap_B_1", "are_analytic_p_1"],
+)
+def test_bad_procedure_arguments_are_typed_errors(call, error):
+    sample = validate_sample(np.random.default_rng(23).standard_normal((10, 3)))
+    with pytest.raises(error):
+        call(sample)
 
 
 def test_are_analytic_rejects_bad_df():

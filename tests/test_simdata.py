@@ -143,6 +143,20 @@ def test_unknown_model_and_mismatched_theta():
         DistributionSpec("gaussian", np.zeros(2), ar1_shape(3, 0.0))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _spec("student_t", 3, df=5.0, t_mode="variance"), "unknown t parameterization"),
+        (lambda: draw(_spec("gaussian", 3), 0, seed=1), "n must be >= 1"),
+        (lambda: theta_vector(ThetaPattern("dense_half"), 8, 10), "unknown pattern 'dense_half'"),
+    ],
+    ids=["t_mode", "draw_n_0", "theta_pattern"],
+)
+def test_bad_sampling_arguments_are_typed_errors(call, message):
+    with pytest.raises(InvalidScenario, match=message):
+        call()
+
+
 def test_theta_patterns():
     assert_allclose(theta_vector(ThetaPattern("sparse3"), 5, 100), [2.0, -2.0, 3.0, 0.0, 0.0])
     assert_allclose(

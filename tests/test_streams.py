@@ -29,9 +29,16 @@ def test_child_seed_deterministic_and_keyed():
 
 
 def _philox_signs(seed, namespace, replicate, n):
-    """Signs of one replicate read bit by bit from numpy's own Philox stream."""
+    """Signs of one replicate read bit by bit from numpy's own Philox stream.
+
+    The stream is read from counter 0 with no ``advance``: replicate b owns
+    ceil(ceil(n / 64) / 4) blocks of four 64-bit words, starting at word
+    4 * b * blocks.
+    """
     key = np.random.SeedSequence(seed, spawn_key=(namespace,)).generate_state(2, np.uint64)
-    raw = np.random.Philox(key=key, counter=[0, replicate, 0, 0]).random_raw(-(-n // 64))
+    words = -(-n // 64)
+    start = 4 * replicate * -(-words // 4)
+    raw = np.random.Philox(key=key).random_raw(start + words)[start:]
     return np.array([1.0 if (int(raw[i // 64]) >> (i % 64)) & 1 else -1.0 for i in range(n)])
 
 
