@@ -124,15 +124,14 @@ def bootstrap_spatial_median(
     (``_REPLICATE_CONFIG``).  A replicate that fails to converge raises
     DidNotConverge carrying its index.
     """
-    residuals = sample.values - fit.theta_hat
     # replicates start at the origin, the center of the sign-symmetric
     # replicate law, so with p > n they can iterate in the n-dimensional span
     # of the residuals; the coordinates (and with them the Gram matrix) are
     # built once and shared by the batches
-    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
 
     def solve(signs):
-        return _solve_batch(coords, signs, _REPLICATE_CONFIG, np.zeros((signs.shape[0], coords.width)))[0]
+        return _solve_batch(coords, signs, _REPLICATE_CONFIG)[0]
 
     return _multiplier_bootstrap(sample, solve, NS_BOOT_MEDIAN, B, seed, workers)
 

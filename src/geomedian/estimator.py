@@ -6,26 +6,32 @@ convergent on the convex objective.  The same core solves many sign-multiplied
 problems at once (one per bootstrap replicate) by carrying a batch dimension;
 distances are evaluated through the inner-product expansion
 ``||z*x - b||^2 = ||x||^2 - 2 z <x, b> + ||b||^2`` (valid because z = +-1) so
-each iteration is a few matrix products.  Entries too small for the expansion
-to resolve are recomputed directly before they feed the weights.
+each iteration is a few matrix products.
+
+Every solve runs in the points' own units.  The coordinates keep one copy of
+the points divided by ``unit``, a power of two near their mean row norm, so
+the scaling is exact, no square overflows or underflows at any magnitude, and
+the solver's radii and step test are plain constants in those units.  Every
+solve starts at the origin: a fit or median-of-means centres its points on
+their coordinate-wise median first and adds it back afterwards, and bootstrap
+replicates solve residuals that are already centred.  So the expansion's
+cancellation noise is about sqrt(eps) of the mean row norm whatever the
+data's magnitude or offset, and distances are never recomputed directly.
 
 A sweep builds the distance matrix in place and takes its row minima once;
-they decide which rescue the sweep needs (distance repair, vertex check,
-Vardi-Zhang anchoring).  Every sweep takes one step rule: weights 1/dist, the
-Weiszfeld step numer / denom, and only in rows where some point sits within
-the anchor radius of the iterate, that point weighted out and the step blended
-back towards the iterate.
+they decide which rescue the sweep needs (vertex check, Vardi-Zhang
+anchoring).  Every sweep takes one step rule: weights 1/dist, the Weiszfeld
+step numer / denom, and only in rows where some point sits within the anchor
+radius of the iterate, that point weighted out and the step blended back
+towards the iterate.
 
-Every solve is one call of ``_solve_batch``: a fit or median-of-means is one
-row started at the coordinate-wise median, bootstrap replicates are batches
-started at the origin.  The core runs in one of two representations of the
-iterates, each built once per point set and owning the data scale the solver
-radii are relative to.  Plain points of R^p serve every fit.  Solves started
-at the origin never leave the row span of the points, so they can instead
-carry coefficients a in R^n with beta = a @ X; the inner products then come
-from the n x n Gram matrix X X^T, and an iteration costs O(n^2) per row
-instead of O(n p).  Both share one update rule; vertex checks, distance
-repairs and the Newton finish always work on points of R^p.
+Every solve is one call of ``_solve_batch``, in one of two representations of
+the iterates, each built once per point set.  Plain points of R^p serve every
+fit.  Solves started at the origin never leave the row span of the points, so
+they can instead carry coefficients a in R^n with beta = a @ X; the inner
+products then come from the n x n Gram matrix X X^T, and an iteration costs
+O(n^2) per row instead of O(n p).  Both share one update rule; vertex checks
+and the Newton finish always work on points of R^p.
 """
 
 import threading
@@ -42,10 +48,6 @@ from .errors import (
 )
 from .streams import NS_BLOCKS, substream
 
-# Distances below this multiple of the data scale are recomputed directly:
-# the expansion's cancellation noise sits near sqrt(eps) * scale.
-_REPAIR_REL = 1e-6
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,8 +57,9 @@ class SolverConfig:
     estimating-equation residual; both must hold to declare convergence.  Fits
     use the defaults (``_FIT_CONFIG``); bootstrap replicates stop at a coarser
     ``tol`` and keep ``grad_tol`` (``bootstrap._REPLICATE_CONFIG``).
-    ``anchor_eps`` is relative to the data scale: points within that radius of
-    the iterate are treated as coincident with it.
+    ``tol`` and ``anchor_eps`` are in solver units (the coordinates' ``unit``,
+    near the mean row norm of the centred points): points within
+    ``anchor_eps`` of the iterate are treated as coincident with it.
 
     The iteration budget allows for the near-vertex regime, where an optimum
     sitting close to (but not at) a data point slows the contraction to
@@ -92,18 +95,27 @@ class SpatialMedianFit:
     b_diag_hat: np.ndarray
 
 
-def _data_scale(values) -> float:
-    peak = float(np.abs(values).max()) if values.size else 0.0
-    return max(1.0, peak)
+def _in_units(points):
+    """A float64 copy of ``points`` divided by ``unit``, and ``unit``.
+
+    ``unit`` is a power of two near the copy's mean row norm.  The copy is
+    first divided by a power of two above max|x|, so no square overflows or
+    underflows; every division is by a power of two, so the scaling is exact.
+    All-zero points get unit 1, since frexp(0) has exponent 0.
+    """
+    peak = np.frexp(max(points.max(), -points.min()))[1]
+    copy = np.ldexp(points, -peak)
+    spread = np.frexp(np.sqrt(np.einsum("ij,ij->i", copy, copy)).mean())[1]
+    np.ldexp(copy, -spread, out=copy)
+    return copy, np.ldexp(1.0, peak + spread)
 
 
 class _PointCoords:
     """Batch iterates stored as vectors of R^p (the plain representation)."""
 
     def __init__(self, points):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        self.points, self.unit = _in_units(points)
         self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
-        self.scale = _data_scale(self.points)
         self.width = self.points.shape[1]
 
     def project(self, coef):
@@ -137,10 +149,9 @@ class _SpanCoords:
     """
 
     def __init__(self, points):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        self.points, self.unit = _in_units(points)
         self.gram = self.points @ self.points.T
         self.sq_norms = np.diagonal(self.gram).copy()
-        self.scale = _data_scale(self.points)
         self.width = self.points.shape[0]
 
     def project(self, coef):
@@ -164,20 +175,19 @@ class _SpanCoords:
         return unit
 
 
-def _solve_batch(coords, signs, config, start):
+def _solve_batch(coords, signs, config):
     """Minimize sum_i ||signs[b, i] * x_i - beta_b|| for every batch row b.
 
     ``coords`` (:class:`_PointCoords` or :class:`_SpanCoords` over the x_i)
-    carries the data scale; ``start`` holds the starting iterates in its
-    representation, ``coords.width`` wide, and is not modified.  Vertex
-    checks, distance repairs and the Newton polish run on points of R^p.
-    Returns (centers in R^p, iterations, grad_norm).
+    holds the points in its units; every row starts at the origin, and the
+    radii and the step test are ``config``'s constants in those units.  Vertex
+    checks and the Newton polish run on points of R^p.  Returns (centers in
+    R^p, multiplied back by ``coords.unit``, iterations, grad_norm).
 
     Each sweep takes the row minima of the (rows x n) distance matrix once,
     and they open the rescue paths:
 
-    - below the repair floor: the entries under it are recomputed directly;
-    - below 0.02 * scale, every 4th sweep: the nearest point is tested for
+    - below 0.02, every 4th sweep: the nearest point is tested for
       optimality and the row snaps to it if it is the minimizer, keeping the
       test's distances from it;
     - at or below the anchor radius: the coincident entries get weight 0.
@@ -193,12 +203,10 @@ def _solve_batch(coords, signs, config, start):
     """
     points = coords.points
     sq_norms = coords.sq_norms
-    scale = coords.scale
     n, p = points.shape
-    beta = np.array(start, dtype=np.float64)
     m = signs.shape[0]
-    eps_anchor = config.anchor_eps * scale
-    repair_floor = max(_REPAIR_REL * scale, eps_anchor)
+    beta = np.zeros((m, coords.width))
+    eps_anchor = config.anchor_eps
     grad_bound = n * config.grad_tol
 
     iterations = np.zeros(m, dtype=np.int64)
@@ -301,23 +309,15 @@ def _solve_batch(coords, signs, config, start):
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
         row_min = dist.min(axis=1)
-
-        if (row_min < repair_floor).any():
-            rb, ri = np.nonzero(dist < repair_floor)
-            diff = za[rb, ri, None] * points[ri] - coords.to_points(ba[rb])
-            dist[rb, ri] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            repaired = np.unique(rb)
-            row_min[repaired] = dist[repaired].min(axis=1)
         if not np.isfinite(dist.max()):  # max propagates NaN
             raise DegenerateSample("non-finite distances encountered")
 
         if t % 4 == 0:
-            for j in np.nonzero(row_min < 0.02 * scale)[0]:
+            for j in np.nonzero(row_min < 0.02)[0]:
                 k = int(dist[j].argmin())
                 snapped = vertex_solution(idx[j], k)
                 if snapped is not None:
                     ba[j] = coords.vertex(k, za[j, k])
-                    sq[j] = sq_norms[k]
                     dist[j] = snapped[1]
                     row_min[j] = dist[j].min()
 
@@ -347,9 +347,8 @@ def _solve_batch(coords, signs, config, start):
             # the blend scales the step by 1 - lambda; a row with denom = 0 stays put
             step[at] = np.where(denom[at] > 0, (1.0 - lam) * step[at], 0.0)
 
-        denom_change = np.maximum(1.0, np.sqrt(sq))
         grad_ok = (resid_norm <= grad_bound) | (resid_norm <= eta)
-        done = (step / denom_change < config.tol) & grad_ok
+        done = (step < config.tol) & grad_ok
 
         if full:
             beta = new
@@ -362,33 +361,39 @@ def _solve_batch(coords, signs, config, start):
     if active.any():
         row = int(np.nonzero(active)[0][0])
         raise DidNotConverge(config.max_iter, grad_norm[row], replicate=row)
+    # back from units, before the mapping to R^p (unit is a power of two, so
+    # scaling the width-wide coefficients is exact and cheaper than the result)
+    beta *= coords.unit
     beta = coords.to_points(beta)
     for row, center in polished.items():
-        beta[row] = center
+        beta[row] = center * coords.unit
     return beta, iterations, grad_norm
 
 
 def _fit_center(points, config):
-    """Spatial median of the rows of ``points``, from their coordinate-wise median.
+    """Spatial median of the rows of ``points``.
 
-    Returns (center, iterations, data scale).  Out of iterations, it raises
-    DidNotConverge without a replicate index: a fit is no bootstrap replicate.
+    The points are centred on their coordinate-wise median, solved from the
+    origin in their own units, and the median is added back.  Returns
+    (center, iterations, unit).  Out of iterations, it raises DidNotConverge
+    without a replicate index: a fit is no bootstrap replicate.
     """
-    coords = _PointCoords(points)
-    start = np.median(coords.points, axis=0)[None, :]
+    median = np.median(points, axis=0)
+    coords = _PointCoords(points - median)
     try:
-        beta, iters, _ = _solve_batch(coords, np.ones((1, coords.points.shape[0])), config, start)
+        beta, iters, _ = _solve_batch(coords, np.ones((1, points.shape[0])), config)
     except DidNotConverge as err:
         raise DidNotConverge(err.iterations, err.grad_norm) from None
-    return beta[0], int(iters[0]), coords.scale
+    return beta[0] + median, int(iters[0]), coords.unit
 
 
 def spatial_median(sample: Sample) -> SpatialMedianFit:
     """Minimize the total Euclidean distance to the observations.
 
-    Initialization is the coordinate-wise median.  Residual-based quantities
-    in the returned fit exclude observations coincident with the solution
-    (residual norm below the anchor radius), with the divisor reduced.
+    The solve starts at the coordinate-wise median (see ``_fit_center``).
+    Residual-based quantities in the returned fit exclude observations
+    coincident with the solution (residual norm below the anchor radius),
+    with the divisor reduced.
 
     Uniqueness requires the observations not to be collinear when p > 2; for
     collinear inputs the solver simply reports the minimizer it reaches.
@@ -401,22 +406,24 @@ def spatial_median(sample: Sample) -> SpatialMedianFit:
     if memo is not None:
         return memo
     x = sample.values
-    theta, iterations, scale = _fit_center(x, _FIT_CONFIG)
+    theta, iterations, unit = _fit_center(x, _FIT_CONFIG)
 
+    # in the solver's units: unit is a power of two, so dividing is exact
     residuals = x - theta
+    residuals /= unit
     norms = np.linalg.norm(residuals, axis=1)
-    nonzero = norms > _FIT_CONFIG.anchor_eps * scale
+    nonzero = norms > _FIT_CONFIG.anchor_eps
     k = int(nonzero.sum())
     if k:
         directions = residuals[nonzero] / norms[nonzero, None]
         grad = float(np.linalg.norm(directions.sum(axis=0)))
-        zeta1 = float((1.0 / norms[nonzero]).mean())
+        zeta1 = float((1.0 / norms[nonzero]).mean() / unit)
         b_diag = (directions**2).sum(axis=0) / k
     else:
         grad = 0.0
         zeta1 = float("nan")
         b_diag = np.full(sample.p, np.nan)
-    objective = float(norms.sum() - np.linalg.norm(x, axis=1).sum())
+    objective = float(norms.sum() * unit - _row_norms(x).sum())
     theta.flags.writeable = False
     b_diag.flags.writeable = False
     fit = SpatialMedianFit(
@@ -449,9 +456,20 @@ def gmom(sample: Sample, k_blocks: int, seed: int = 0) -> np.ndarray:
     return _fit_center(means, _FIT_CONFIG)[0]
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, at any magnitude.
+
+    Each row is divided by a power of two above its largest entry before its
+    norm is taken, and the norm multiplied back: both exact, so no square
+    overflows or underflows.
+    """
+    _, peak = np.frexp(np.abs(rows).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(rows, -peak[:, None]), axis=1), peak)
+
+
 def _unit_rows(centered: np.ndarray) -> np.ndarray:
     """Each row of ``centered`` divided by its norm; zero rows stay zero."""
-    norms = np.linalg.norm(centered, axis=1)
+    norms = _row_norms(centered)
     directions = np.zeros_like(centered)
     nz = norms > 0
     directions[nz] = centered[nz] / norms[nz, None]

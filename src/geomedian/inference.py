@@ -146,8 +146,7 @@ def _positive_quantile(draws: BootstrapDraws, level: float) -> float:
 
     A zero quantile would give zero-width intervals or a zero critical value.
     It happens when enough rows coincide that every replicate center sits at
-    the origin, or when the data are so small against the solver's unit-floored
-    radii that no replicate leaves it.
+    the origin.
     """
     q = quantile(draws, level)
     if q == 0.0:

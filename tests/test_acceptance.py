@@ -204,7 +204,7 @@ def test_criterion_09_bootstrap_enumeration_oracle():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(8)
-    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((256, 2)))
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig())
     exact = np.sort(np.sqrt(8.0) * np.abs(beta).max(axis=1))
     iqr = float(np.quantile(exact, 0.75) - np.quantile(exact, 0.25))
     draws = bootstrap_spatial_median(sample, fit, 10000, seed=77)

@@ -44,7 +44,7 @@ def test_mirror_pair_two_point_law_by_enumeration():
     r = np.array([0.7, -0.3])
     residuals = np.stack([r, -r])
     signs = all_sign_patterns(2)
-    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((4, 2)))
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig())
     stats = np.sqrt(2.0) * np.abs(beta).max(axis=1)
     assert_allclose(np.sort(stats), [0.0, 0.0, np.sqrt(2) * 0.7, np.sqrt(2) * 0.7], atol=1e-12)
 
@@ -62,7 +62,7 @@ def test_spatial_median_bootstrap_matches_enumeration_small_case():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(6)
-    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((64, 2)))
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig())
     exact = np.sqrt(6.0) * np.abs(beta).max(axis=1)
     draws = bootstrap_spatial_median(sample, fit, 4000, seed=33)
     assert ks_distance(draws.stats, exact) < 0.05
@@ -170,12 +170,12 @@ def _check_sign_flip_closure(p):
     signs = rademacher(11, NS_BOOT_MEAN, 0, 8, 10)
     cfg = SolverConfig()
     n = residuals.shape[0]
-    beta_a, _, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((8, p)))
-    beta_b, _, _ = _solve_batch(_PointCoords(-residuals), -signs, cfg, np.zeros((8, p)))
+    beta_a, _, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
+    beta_b, _, _ = _solve_batch(_PointCoords(-residuals), -signs, cfg)
     assert np.array_equal(beta_a, beta_b)
     if p > n:
-        span_a, _, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((8, n)))
-        span_b, _, _ = _solve_batch(_SpanCoords(-residuals), -signs, cfg, np.zeros((8, n)))
+        span_a, _, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
+        span_b, _, _ = _solve_batch(_SpanCoords(-residuals), -signs, cfg)
         assert np.array_equal(span_a, span_b)
 
 
@@ -192,14 +192,14 @@ def test_span_solve_matches_point_solve(model, df, rho):
     residuals = sample.values - fit.theta_hat
     signs = rademacher(5, NS_BOOT_MEDIAN, 0, B, n)
     cfg = SolverConfig()
-    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((B, n)))
-    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((B, p)))
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
     assert np.array_equal(span_iters, point_iters)
     span_stats = np.sqrt(n) * np.abs(span_beta).max(axis=1)
     assert_allclose(span_stats, np.sqrt(n) * np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
     # the bootstrap dispatches this shape to the span solve, under its
     # replicate config
-    replicate_beta, _, _ = _solve_batch(_SpanCoords(residuals), signs, _REPLICATE_CONFIG, np.zeros((B, n)))
+    replicate_beta, _, _ = _solve_batch(_SpanCoords(residuals), signs, _REPLICATE_CONFIG)
     draws = bootstrap_spatial_median(sample, fit, B, seed=5)
     assert np.array_equal(draws.stats, np.sqrt(n) * np.abs(replicate_beta).max(axis=1))
 
@@ -216,7 +216,7 @@ def _duplicated_rows(rng, p):
          None, 1e-6),
         (draw(DistributionSpec("gaussian", np.zeros(200), ar1_shape(200, 0.8)), 30, seed=42).values, None, 1e-6),
         # centred at the shift, so the replicates see the duplicated rows
-        # themselves: repairs, anchoring and vertex snaps fire, and a few
+        # themselves: anchoring and vertex snaps fire, and a few
         # replicates crawl near a vertex, where the certificate leaves up to
         # 4.6e-6 relative in the statistic
         (_duplicated_rows(np.random.default_rng(0), 25) + 0.5, 0.5, 1e-5),
@@ -238,26 +238,25 @@ def test_replicates_meet_the_residual_certificate(values, center, rtol):
     # the replicate centres, solved as the bootstrap solves them: one batch,
     # in the representation its shape selects
     coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
-    zeros = np.zeros((B, coords.width))
-    centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG, zeros)
+    centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG)
     assert np.array_equal(draws.stats, np.sqrt(sample.n) * np.abs(centres).max(axis=1))
     for b in range(B):
         assert is_distance_sum_minimizer(signs[b, :, None] * residuals, centres[b], tol=1e-7)
-    exact, _, _ = _solve_batch(coords, signs, SolverConfig(), zeros)
+    exact, _, _ = _solve_batch(coords, signs, SolverConfig())
     assert_allclose(draws.stats, np.sqrt(sample.n) * np.abs(exact).max(axis=1), rtol=rtol, atol=0.0)
 
 
 def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
-    # two zero residuals (distance repair and anchoring at the origin) and
-    # one row eight times over, whose signed copies are often the optimum
-    # (vertex snap); n = 12 < p = 25
+    # two zero residuals (anchoring at the origin) and one row eight times
+    # over, whose signed copies are often the optimum (vertex snap);
+    # n = 12 < p = 25
     rng = np.random.default_rng(0)
     p = 25
     residuals = _duplicated_rows(rng, p)
     n = residuals.shape[0]
     signs = rng.choice([-1.0, 1.0], size=(64, n))
 
-    calls = {"vertex": 0, "to_points": 0}
+    calls = {"vertex": 0}
     for name in calls:
         original = getattr(_SpanCoords, name)
 
@@ -268,10 +267,9 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
         monkeypatch.setattr(_SpanCoords, name, spy)
 
     cfg = SolverConfig()
-    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg, np.zeros((64, n)))
-    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg, np.zeros((64, p)))
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
     assert calls["vertex"] > 0  # vertex snaps
-    assert calls["to_points"] > 1  # repairs, besides the final mapping
     assert span_iters.max() < 256  # no Newton polish involved
     assert np.array_equal(span_iters, point_iters)
     assert_allclose(np.abs(span_beta).max(axis=1), np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
@@ -287,7 +285,7 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
 
 @pytest.mark.parametrize("coords", [_PointCoords, _SpanCoords], ids=["point", "span"])
 def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
-    # the origin start sits on the zero row (anchored step, distance repair);
+    # the origin start sits on the zero row (anchored step);
     # under the first sign row the five copies of v outweigh the rest, so that
     # row snaps to v at t = 12 while all four rows run; the rows then finish
     # at different sweeps and the batch compacts
@@ -301,8 +299,8 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     ], dtype=np.float64)
     m = signs.shape[0]
 
-    sweeps, snaps, repairs = [], [], []
-    combine, vertex, to_points = coords.combine, coords.vertex, coords.to_points
+    sweeps, snaps = [], []
+    combine, vertex = coords.combine, coords.vertex
 
     def combine_spy(self, weights):
         # one call per sweep; a zero weight marks an anchored point, so that
@@ -314,16 +312,11 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
         snaps.append(len(sweeps))
         return vertex(self, k, sign)
 
-    def to_points_spy(self, coef):
-        repairs.append(coef.shape[0])
-        return to_points(self, coef)
-
     monkeypatch.setattr(coords, "combine", combine_spy)
     monkeypatch.setattr(coords, "vertex", vertex_spy)
-    monkeypatch.setattr(coords, "to_points", to_points_spy)
 
     solver = coords(points)
-    beta, iters, _ = _solve_batch(solver, signs, SolverConfig(), np.zeros((m, solver.width)))
+    beta, iters, _ = _solve_batch(solver, signs, SolverConfig())
 
     rows = [size for size, _ in sweeps]
     assert rows[0] == m and min(rows) < m  # all-active sweeps, then compacted ones
@@ -332,7 +325,6 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     assert not np.isclose(beta, 0.0).all(axis=1).any()  # ... and steps off it
     assert snaps and all(rows[t] == m for t in snaps)  # snapped with every row running
     assert np.array_equal(beta[0], v)
-    assert len(repairs) > 1  # repaired distances, besides the final mapping
     assert iters.max() < 256  # no Newton polish involved
     multiplied = signs[:, :, None] * points
     for b in range(m):

@@ -57,6 +57,15 @@ def test_all_identical_observations_return_the_point():
     assert fit.grad_norm == 0.0
 
 
+@pytest.mark.parametrize("a", [1e-200, 1e200])
+def test_identical_observations_at_extreme_magnitudes(a):
+    point = np.array([a, -3.0 * a])
+    fit = spatial_median(validate_sample([point] * 5))
+    assert_allclose(fit.theta_hat, point, rtol=1e-15)
+    # no norm of an observation underflows to 0 or overflows
+    assert_allclose(fit.objective, -5.0 * np.sqrt(10.0) * a, rtol=1e-15)
+
+
 def test_estimating_equation_residual_bound():
     rng = np.random.default_rng(1)
     for trial in range(10):
@@ -80,13 +89,14 @@ def test_objective_monotone_across_iterations(monkeypatch):
     project = _PointCoords.project
 
     def spy(self, coef):
-        # one call per sweep, on the iterate the sweep starts from
-        iterates.append(coef[0].copy())
+        # one call per sweep, on the iterate the sweep starts from, in the
+        # coordinates' own centred, normalised points
+        iterates.append((self.points, coef[0].copy()))
         return project(self, coef)
 
     monkeypatch.setattr(_PointCoords, "project", spy)
     _fit_center(points, SolverConfig())
-    history = [np.linalg.norm(points - beta, axis=1).sum() for beta in iterates]
+    history = [np.linalg.norm(own - beta, axis=1).sum() for own, beta in iterates]
     assert len(history) >= 2
     diffs = np.diff(np.asarray(history))
     assert (diffs <= 1e-9).all()
@@ -116,6 +126,35 @@ def test_scale_equivariance():
     base = spatial_median(validate_sample(x)).theta_hat
     scaled = spatial_median(validate_sample(3.5 * x)).theta_hat
     assert np.abs(scaled - 3.5 * base).max() < 1e-9 * 3.5
+
+
+# the golden corpus's scale probe; s is its mean residual norm at unit scale
+_PROBE = np.random.default_rng(41).standard_normal((30, 5))
+
+
+def _probe_fit():
+    theta = spatial_median(validate_sample(_PROBE)).theta_hat
+    return theta, float(np.linalg.norm(_PROBE - theta, axis=1).mean())
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-15, 1e-8, 1e6, 1e150, 1e200])
+def test_scale_equivariance_at_extreme_magnitudes(a):
+    base, s = _probe_fit()
+    scaled = a * _PROBE
+    theta = spatial_median(validate_sample(scaled)).theta_hat
+    assert np.abs(theta / a - base).max() <= 1e-9 * s
+    assert is_distance_sum_minimizer(scaled, theta)
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6, 1e9, 1e12])
+def test_translation_equivariance_at_large_offsets(c):
+    _, s = _probe_fit()
+    shifted = _PROBE + c
+    # the data the shifted sample represents: exact by Sterbenz's lemma
+    represented = shifted - c
+    theta = spatial_median(validate_sample(shifted)).theta_hat
+    reference = spatial_median(validate_sample(represented)).theta_hat
+    assert np.abs(theta - c - reference).max() <= 2 * np.spacing(c) + 1e-9 * s
 
 
 def test_b_diag_sums_to_one_given_nonzero_residuals():
@@ -243,20 +282,25 @@ def test_one_fit_per_sample(monkeypatch):
     assert spatial_median(other) is not sample._fit and len(fits) == 2
 
 
+def _degenerate_solve(coords, signs, config):
+    raise DegenerateSample("non-finite distances encountered")
+
+
 @pytest.mark.parametrize(
-    "x, config, error",
+    "config, solve, error",
     [
-        (np.random.default_rng(42).standard_normal((20, 4)), SolverConfig(max_iter=1), DidNotConverge),
-        (np.random.default_rng(42).standard_normal((20, 4)) * 1e200, SolverConfig(), DegenerateSample),
+        (SolverConfig(max_iter=1), estimator._solve_batch, DidNotConverge),
+        (SolverConfig(), _degenerate_solve, DegenerateSample),
     ],
     ids=["did_not_converge", "degenerate"],
 )
-def test_failed_fit_is_not_memoised(x, config, error, monkeypatch):
+def test_failed_fit_is_not_memoised(config, solve, error, monkeypatch):
     monkeypatch.setattr(estimator, "_FIT_CONFIG", config)
+    monkeypatch.setattr(estimator, "_solve_batch", solve)
     fits = _count_fits(monkeypatch)
-    sample = validate_sample(x)
+    sample = validate_sample(np.random.default_rng(42).standard_normal((20, 4)))
     for attempt in (1, 2):
-        with pytest.raises(error), np.errstate(all="ignore"):
+        with pytest.raises(error):
             spatial_median(sample)
         assert len(fits) == attempt
     assert sample._fit is None

@@ -94,7 +94,7 @@ def test_sci_quantile_matches_enumeration_for_mirror_pairs():
     fit = spatial_median(sample)
     residuals = sample.values - fit.theta_hat
     signs = all_sign_patterns(4)
-    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig(), np.zeros((16, 2)))
+    beta, _, _ = _solve_batch(_PointCoords(residuals), signs, SolverConfig())
     exact = np.sort(2.0 * np.abs(beta).max(axis=1))
     exact_q90 = exact[int(np.ceil(0.9 * 16)) - 1]
     draws = bootstrap_spatial_median(sample, fit, 8000, seed=4)
@@ -172,16 +172,24 @@ def _zero_repeat_sample():
     [
         lambda: sci(_zero_repeat_sample(), 0.9, 200, 1),
         lambda: global_test_median(_zero_repeat_sample(), np.zeros(8), 0.05, 200, 1),
-        # so small that no replicate moves off the origin
-        lambda: sci(validate_sample(np.random.default_rng(41).standard_normal((30, 5)) * 1e-15), 0.9, 200, 42),
     ],
-    ids=["sci", "global_test_median", "sci_x1e-15"],
+    ids=["sci", "global_test_median"],
 )
 def test_zero_bootstrap_quantile_is_degenerate(procedure):
     # not a constant sample, yet every replicate statistic is 0: a zero-width
     # band or a zero critical value is refused, not returned
     with pytest.raises(DegenerateSample, match="bootstrap quantile is 0"):
         procedure()
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-15, 1e-8, 1e6, 1e150, 1e200])
+def test_sci_quantile_scales_with_the_data(a):
+    # the golden corpus's scale probe: at x1e-15 the band keeps a positive width
+    x = np.random.default_rng(41).standard_normal((30, 5))
+    q = sci(validate_sample(x), 0.9, 200, 42).q_boot
+    band = sci(validate_sample(a * x), 0.9, 200, 42)
+    assert abs(band.q_boot / a - q) <= 1e-9 * q
+    assert (band.upper - band.lower > 0).all()
 
 
 def test_wpl_antipodal_pair():
@@ -195,6 +203,16 @@ def test_wpl_orthogonal_signs():
     sample = validate_sample([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
     result = global_test_wpl(sample, np.zeros(3), 0.05)
     assert_allclose(result.statistic, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e160, 1e200])
+def test_wpl_at_extreme_magnitudes(a):
+    # no direction underflows to zero and no norm overflows
+    x = np.random.default_rng(41).standard_normal((30, 5)) + 0.3
+    unit = global_test_wpl(validate_sample(x), np.zeros(5), 0.05)
+    scaled = global_test_wpl(validate_sample(a * x), np.zeros(5), 0.05)
+    assert_allclose(scaled.statistic, unit.statistic, rtol=1e-12)
+    assert_allclose(scaled.p_value, unit.p_value, rtol=1e-9)
 
 
 def test_cq_constant_at_null_center():

@@ -215,9 +215,9 @@ def solver_entries():
         residuals = x - fit.theta_hat
         signs = np.where(np.random.default_rng(9).random((48, n)) < 0.5, -1.0, 1.0)
         yield f"solver/batch_point/{name}", _entry(lambda: estimator._solve_batch(
-            estimator._PointCoords(residuals), signs, cfg, np.zeros((48, p))))
+            estimator._PointCoords(residuals), signs, cfg))
         yield f"solver/batch_span/{name}", _entry(lambda: estimator._solve_batch(
-            estimator._SpanCoords(residuals), signs, cfg, np.zeros((48, n))))
+            estimator._SpanCoords(residuals), signs, cfg))
 
 
 def scale_entries():
