@@ -5,42 +5,63 @@ signs and records the scaled max-norm of the re-estimated center (spatial
 median target) or of the perturbed average (mean target).  A batch of
 replicates reads all its signs from the raw bits of the one (seed, namespace)
 substream (:func:`geomedian.streams.rademacher`), replicate b at an offset
-fixed by b and n, so replicate b's signs depend only on (seed, namespace, b),
-not on the batch that draws them.  A replicate's solved center is not that
-independent: it can move in the last bit with the other rows of its batch,
-because BLAS blocking follows the batch size and rows drop out of the
-products as they converge.  So B = 200 and the first 200 replicates of
-B = 400 need not agree bit-for-bit.
+fixed by b and n, so replicate b's signs depend only on (seed, namespace, b).
+Its solved center does not depend on the batch either: every matrix product
+runs on fixed slabs of ``_PRODUCT_ROWS`` rows with replicate b in slot
+b % ``_PRODUCT_ROWS`` (see ``estimator._solve_batch``).  So replicate b's
+statistic is a function of (sample, fit, seed, namespace, b) alone, and
+B = 200 gives the first 200 statistics of B = 400 bit for bit.
+
+That lets a sample keep its draws.  ``Sample._draws`` holds the namespace,
+seed and statistics of the last bootstrap on the sample; a later call at the
+same namespace and seed returns a prefix of them, or solves only the
+replicates past their end and stores the longer array.  A global test
+(B = 200) then intervals (B = 400) at one seed thus solve 400 replicates.
+Only the sample's own fit (``Sample._fit``) uses the memo.
 
 Replicates are solved in fixed-size batches (a constant independent of the
 worker count) so the arithmetic performed for a given (inputs, B, seed)
-never depends on scheduling, and the statistics are reproduced bit-for-bit.
-When the dimension exceeds the sample size (p > n) the spatial-median
-replicates iterate in span coordinates over the Gram matrix of the
-residuals, otherwise in R^p; either way the coordinates are built once per
-call.  The choice depends only on the input's shape.
+never depends on scheduling.  When the dimension exceeds the sample size
+(p > n) the spatial-median replicates iterate in span coordinates over the
+Gram matrix of the residuals, otherwise in R^p; either way the coordinates
+are built once per call that has replicates to solve.  The choice depends
+only on the input's shape.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Sample
 from .errors import DidNotConverge, InvalidLevel, InvalidScenario, TooFewDraws
-from .estimator import SolverConfig, SpatialMedianFit, _PointCoords, _solve_batch, _SpanCoords
+from .estimator import (
+    _MEMO_LOCK,
+    SolverConfig,
+    SpatialMedianFit,
+    _PointCoords,
+    _slabs,
+    _solve_batch,
+    _SpanCoords,
+)
 from .streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
 
-# Batch of replicates solved together.  Fixed: batching must not change with
-# the worker count, or results would depend on scheduling.
+# Replicates solved together, the unit of work of the worker threads.
 _BATCH = 256
+
+# Rows of every replicate product (see estimator._solve_batch): replicate b
+# sits in slot b % _PRODUCT_ROWS, whatever batch solves it.  Chosen by
+# measurement (2 vCPU, OpenBLAS 0.3.31, 2 threads): 8-row slabs re-read the
+# right-hand matrix too often (the 100 x 2000 mapping to R^p costs twice a
+# plain product), and larger slabs pad more (B = 200 fills 208 rows here,
+# 224 at 32 and 256 at 64 or more).
+_PRODUCT_ROWS = 16
 
 # Replicates only feed the law of a max-norm (Chernozhukov, Chetverikov &
 # Kato 2013), so they stop at a coarser iterate change than fits.  grad_tol
 # stays at the fits' value: every replicate still meets the scale-free
 # estimating-equation bound ||R|| <= n * grad_tol, which is what binds on
 # typical samples (tol = 1e-4 .. 1e-6 stop at the same sweep).
-_REPLICATE_CONFIG = SolverConfig(tol=1e-6)
+_REPLICATE_CONFIG = SolverConfig(tol=1e-6, product_rows=_PRODUCT_ROWS)
 
 
 @dataclass(frozen=True)
@@ -74,31 +95,50 @@ def _parallel_map(func, items, workers: int) -> None:
         for item in items:
             func(item)
         return
+    # imported here: concurrent.futures (and the logging it loads) would
+    # otherwise cost every process that never starts a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in [pool.submit(func, item) for item in items]:
             future.result()
 
 
 def _multiplier_bootstrap(
-    sample: Sample, solve, namespace: int, B: int, seed: int, workers: int
+    sample: Sample, solver, namespace: int, B: int, seed: int, workers: int, memo: bool = True
 ) -> BootstrapDraws:
-    """Run B sign-multiplier replicates through ``solve(signs) -> centers``.
+    """Run B sign-multiplier replicates through ``solver()(signs, first) -> centers``.
 
-    ``solve`` maps a batch of sign rows (one row of n signs per replicate) to
-    the replicate centers.  Replicate b takes row b of the counter-based sign
-    stream keyed by (seed, namespace) and records sqrt(n) * max|center_b|.
+    ``solver()`` builds a function that maps the sign rows of replicates
+    first, first + 1, ... (one row of n signs per replicate) to their
+    centers.  Replicate b takes row b of the counter-based sign stream keyed
+    by (seed, namespace) and records sqrt(n) * max|center_b|.
+
+    With ``memo``, the sample keeps the statistics of its last bootstrap
+    (``Sample._draws``).  A call at the same (namespace, seed) returns a
+    prefix of them, or solves only the replicates past their end and stores
+    the longer array; ``solver`` is not even built when nothing is left to
+    solve.  A raise stores nothing.
     """
     if B < 1:
         raise InvalidScenario("B must be >= 1")
     n = sample.n
+    key = (namespace, int(seed))
+    known = np.empty(0)
+    if memo and sample._draws is not None and sample._draws[0] == key:
+        known = sample._draws[1]
+    if known.size >= B:
+        return BootstrapDraws(stats=known[:B], n_obs=n)
     root_n = np.sqrt(n)
     stats = np.empty(B)
+    stats[: known.size] = known
+    solve = solver()
 
     def run_batch(span):
         lo, hi = span
         signs = rademacher(seed, namespace, lo, hi - lo, n)
         try:
-            centers = solve(signs)
+            centers = solve(signs, lo)
         except DidNotConverge as err:
             raise DidNotConverge(
                 err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)
@@ -108,8 +148,14 @@ def _multiplier_bootstrap(
         peak = np.maximum(centers.max(axis=1), -centers.min(axis=1))
         stats[lo:hi] = root_n * np.abs(peak)
 
-    _parallel_map(run_batch, [(lo, min(lo + _BATCH, B)) for lo in range(0, B, _BATCH)], workers)
+    spans = [(lo, min(lo + _BATCH, B)) for lo in range(known.size, B, _BATCH)]
+    _parallel_map(run_batch, spans, workers)
     stats.flags.writeable = False
+    if memo:
+        with _MEMO_LOCK:
+            last = sample._draws
+            if last is None or last[0] != key or last[1].size < B:
+                object.__setattr__(sample, "_draws", (key, stats))
     return BootstrapDraws(stats=stats, n_obs=n)
 
 
@@ -122,31 +168,42 @@ def bootstrap_spatial_median(
     random signs Z and records sqrt(n) * max|beta|.  Replicates stop at
     ``tol = 1e-6`` under the fits' residual certificate
     (``_REPLICATE_CONFIG``).  A replicate that fails to converge raises
-    DidNotConverge carrying its index.
+    DidNotConverge carrying its index.  Only the sample's own fit
+    (``sample._fit``) shares draws through the sample's memo.
     """
-    # replicates start at the origin, the center of the sign-symmetric
-    # replicate law, so with p > n they can iterate in the n-dimensional span
-    # of the residuals; the coordinates (and with them the Gram matrix) are
-    # built once and shared by the batches
-    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
 
-    def solve(signs):
-        return _solve_batch(coords, signs, _REPLICATE_CONFIG)[0]
+    def solver():
+        # replicates start at the origin, the center of the sign-symmetric
+        # replicate law, so with p > n they can iterate in the n-dimensional
+        # span of the residuals; the coordinates (and with them the Gram
+        # matrix) are built once and shared by the batches
+        coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
+        return lambda signs, first: _solve_batch(coords, signs, _REPLICATE_CONFIG, first)[0]
 
-    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEDIAN, B, seed, workers)
+    memo = fit is sample._fit
+    return _multiplier_bootstrap(sample, solver, NS_BOOT_MEDIAN, B, seed, workers, memo)
 
 
 def bootstrap_mean(sample: Sample, B: int, seed: int, workers: int = 1) -> BootstrapDraws:
     """Multiplier bootstrap for the sample mean.
 
-    Replicate b records sqrt(n) * max|mean_i Z_i (X_i - xbar)|.
+    Replicate b records sqrt(n) * max|mean_i Z_i (X_i - xbar)|.  The product
+    runs on the replicate solver's fixed slabs, so replicate b's bits do not
+    depend on B either.
     """
-    centered = sample.values - sample.values.mean(axis=0)
 
-    def solve(signs):
-        return (signs @ centered) / sample.n
+    def solver():
+        centered = sample.values - sample.values.mean(axis=0)
 
-    return _multiplier_bootstrap(sample, solve, NS_BOOT_MEAN, B, seed, workers)
+        def solve(signs, first):
+            laid, lead = _slabs(signs, _PRODUCT_ROWS, first)
+            prod = laid.reshape(-1, _PRODUCT_ROWS, sample.n) @ centered
+            prod /= sample.n
+            return prod.reshape(-1, sample.p)[lead : lead + signs.shape[0]]
+
+        return solve
+
+    return _multiplier_bootstrap(sample, solver, NS_BOOT_MEAN, B, seed, workers)
 
 
 def _check_level(level) -> None:

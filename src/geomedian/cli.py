@@ -10,7 +10,6 @@ tabular views.  Exit codes: 0 success, 1 usage error, 2 computation error
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -70,7 +69,10 @@ def _build_parser() -> _Parser:
             cmd.add_argument("--null", default="zeros", help="'zeros' or a one-row CSV with the hypothesised center")
         if config:
             cmd.add_argument("--config", required=True, help="JSON experiment description")
-        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="parallel worker threads")
+        cmd.add_argument(
+            "--workers", type=int, default=1,
+            help="worker threads for bootstrap batches and replications (default 1; output never depends on it)",
+        )
         cmd.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
         return cmd
 

@@ -28,10 +28,17 @@ class Sample:
     cached fit's arrays are read-only too, and the solver is deterministic,
     so a memoised fit is byte-identical to a fresh one.  (A caller that
     re-enables writes on either on purpose gives that up.)
+
+    ``_draws`` memoises the last bootstrap on this sample with its own fit:
+    (namespace, seed) and the read-only replicate statistics (see
+    :mod:`geomedian.bootstrap`).  Replicate b's statistic depends only on
+    the sample, the fit, the seed, the namespace and b, so a stored prefix
+    is byte-identical to fresh draws.
     """
 
     values: np.ndarray
     _fit: object = field(default=None, init=False, repr=False, compare=False)
+    _draws: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

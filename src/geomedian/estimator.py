@@ -26,7 +26,10 @@ radius of the iterate, that point weighted out and the step blended back
 towards the iterate.
 
 Every solve is one call of ``_solve_batch``, in one of two representations of
-the iterates, each built once per point set.  Plain points of R^p serve every
+the iterates, each built once per point set.  Its matrix products run on
+fixed-shape slabs of ``config.product_rows`` rows, each row in the slot its
+index fixes, so a row's bits never depend on how many other rows share its
+batch or which of them are still running.  Plain points of R^p serve every
 fit.  Solves started at the origin never leave the row span of the points, so
 they can instead carry coefficients a in R^n with beta = a @ X; the inner
 products then come from the n x n Gram matrix X X^T, and an iteration costs
@@ -36,6 +39,7 @@ and the Newton finish always work on points of R^p.
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +68,17 @@ class SolverConfig:
     The iteration budget allows for the near-vertex regime, where an optimum
     sitting close to (but not at) a data point slows the contraction to
     1 - O(gap); a budget of 1000 demonstrably strands such solves.
+
+    ``product_rows`` is the row count of every matrix product of a solve
+    (see ``_solve_batch``).  A fit solves one row, so it keeps 1: its
+    products stay vector-matrix.
     """
 
     tol: float = 1e-10
     max_iter: int = 5000
     anchor_eps: float = 1e-12
     grad_tol: float = 1e-7
+    product_rows: int = 1
 
 
 # Every spatial-median fit and median-of-means solves to the defaults.
@@ -110,24 +119,57 @@ def _in_units(points):
     return copy, np.ldexp(1.0, peak + spread)
 
 
+def _slabs(rows, product_rows, first=0):
+    """``rows`` laid out in slabs of ``product_rows`` rows, and the first row's offset.
+
+    Row b is replicate ``first + b``: it goes to slot (first + b) %
+    product_rows, so the rows stay in order, starting ``lead = first %
+    product_rows`` rows into the first slab, and zero rows fill the slots
+    before and after them.  Returns the (slabs * product_rows, width) layout
+    and ``lead``.
+
+    A matrix product of the layout, stacked as (slabs, product_rows, width),
+    runs one BLAS call per slab, all of one fixed shape.  A row's bits then
+    depend only on its slot: not on the values of the other rows, nor on how
+    many slabs there are (BLAS picks its kernel, blocking and threads by
+    shape, and some kernels also by the row's place in the slab).
+    """
+    count, width = rows.shape
+    lead = first % product_rows
+    laid = np.zeros((-(-(lead + count) // product_rows) * product_rows, width))
+    laid[lead : lead + count] = rows
+    return laid, lead
+
+
 class _PointCoords:
-    """Batch iterates stored as vectors of R^p (the plain representation)."""
+    """Batch iterates stored as vectors of R^p (the plain representation).
+
+    The products take stacks of rows with any leading shape.
+    """
 
     def __init__(self, points):
         self.points, self.unit = _in_units(points)
         self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
         self.width = self.points.shape[1]
 
+    @cached_property
+    def points_t(self):
+        """points.T made contiguous: a stack of slabs multiplies it at about
+        half the cost of the transposed view.  Built on first use, so fits
+        (one-row products, which take the view) never pay for the copy."""
+        return np.ascontiguousarray(self.points.T)
+
     def project(self, coef):
         """Inner products <beta_b, x_i> and squared norms ||beta_b||^2."""
-        return coef @ self.points.T, np.einsum("ij,ij->i", coef, coef)
+        right = self.points.T if coef.shape[-2] == 1 else self.points_t
+        return coef @ right, np.einsum("...j,...j->...", coef, coef)
 
     def combine(self, weights):
         """sum_i weights[b, i] * x_i for every row b."""
         return weights @ self.points
 
     def norm(self, coef):
-        return np.sqrt(np.einsum("ij,ij->i", coef, coef))
+        return np.sqrt(np.einsum("...j,...j->...", coef, coef))
 
     def to_points(self, coef):
         return coef
@@ -158,7 +200,7 @@ class _SpanCoords:
         """As :meth:`_PointCoords.project`, with beta_b = coef[b] @ points."""
         prod = coef @ self.gram
         # G is only positive semi-definite to rounding; clamp the forms
-        return prod, np.maximum(np.einsum("ij,ij->i", coef, prod), 0.0)
+        return prod, np.maximum(np.einsum("...j,...j->...", coef, prod), 0.0)
 
     def combine(self, weights):
         return weights
@@ -175,7 +217,7 @@ class _SpanCoords:
         return unit
 
 
-def _solve_batch(coords, signs, config):
+def _solve_batch(coords, signs, config, first=0):
     """Minimize sum_i ||signs[b, i] * x_i - beta_b|| for every batch row b.
 
     ``coords`` (:class:`_PointCoords` or :class:`_SpanCoords` over the x_i)
@@ -195,23 +237,35 @@ def _solve_batch(coords, signs, config):
     Every row steps to numer / denom.  A row with eta > 0 coincident points
     then takes the Vardi-Zhang blend of that target (its iterate where every
     weight is 0) with its iterate, lambda = min(1, eta / ||R||), or 1 when
-    the residual R is 0.  While every row is active the sweep reads and
-    replaces ``signs`` and ``beta`` whole, without gathering rows.
-    Non-finite distances raise DegenerateSample; rows still active at
-    t % 256 == 0 get a Newton polish, and a row out of iterations raises
-    DidNotConverge with its index.
+    the residual R is 0.  Non-finite distances raise DegenerateSample; rows
+    still active at t % 256 == 0 get a Newton polish, and a row out of
+    iterations raises DidNotConverge with its index.
+
+    Row b is replicate ``first + b`` of its bootstrap and sits in slot
+    (first + b) % ``config.product_rows`` of its slab; zero-sign rows that
+    never run fill the other slots (:func:`_slabs`).  Every product of a
+    sweep runs on the slabs that still hold an active row, so a row's bits
+    depend on its own signs and slot alone: a replicate solved alone (at its
+    ``first``) equals its row in any batch.  While every slab is running the
+    rest of the sweep works on views of the batch's rows; after that it
+    gathers the running slabs, steps all their rows and keeps the steps of
+    the active ones.
     """
     points = coords.points
     sq_norms = coords.sq_norms
     n, p = points.shape
     m = signs.shape[0]
-    beta = np.zeros((m, coords.width))
+    rows = config.product_rows
+    signs, lead = _slabs(signs, rows, first)
+    total = signs.shape[0]
+    beta = np.zeros((total, coords.width))
     eps_anchor = config.anchor_eps
     grad_bound = n * config.grad_tol
 
-    iterations = np.zeros(m, dtype=np.int64)
-    grad_norm = np.zeros(m)
-    active = np.ones(m, dtype=bool)
+    iterations = np.zeros(total, dtype=np.int64)
+    grad_norm = np.zeros(total)
+    active = np.zeros(total, dtype=bool)
+    active[lead : lead + m] = True
     polished = {}  # row -> center in R^p, set by the Newton finish
 
     def vertex_solution(row, k):
@@ -282,7 +336,15 @@ def _solve_batch(coords, signs, config):
                 return None
         return None
 
-    twice = 2.0 * signs  # exact for +-1
+    width = coords.width
+    batch = slice(lead, lead + m)
+    batch_rows = np.arange(lead, lead + m)
+    # residuals laid out for the norm's products; padding rows stay 0
+    padded = np.zeros((total, width))
+
+    def stacked(laid):
+        return laid.reshape(-1, rows, laid.shape[1])
+
     for t in range(1, config.max_iter + 1):
         if t % 256 == 0:
             # anything still active this late is likely in the near-vertex
@@ -293,17 +355,29 @@ def _solve_batch(coords, signs, config):
                     polished[row], grad_norm[row] = out
                     iterations[row] = t
                     active[row] = False
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        full = idx.size == m
+        live = active[batch]
+        every = live.all()
+        if not every:
+            running = active.reshape(-1, rows).any(axis=1)
+            if not running.any():
+                break
+        full = every or running.all()
         if full:
-            za, z2, ba = signs, twice, beta
+            # products on every slab, everything else on the batch's rows
+            idx, own, laid, resid = batch_rows, batch, beta, padded
+            za, ba = signs[batch], beta[batch]
         else:
-            za, z2, ba = signs[idx], twice[idx], beta[idx]
-        prod, sq = coords.project(ba)
+            # the rows of the running slabs, padding and stopped rows included
+            idx, own = np.nonzero(np.repeat(running, rows))[0], slice(None)
+            za, laid = signs[idx], beta[idx]
+            ba, resid, live = laid, np.zeros_like(laid), active[idx]
+        prod, sq = coords.project(stacked(laid))
+        buf = prod.reshape(-1, n)  # zero rows project to 0, so padding rows stay 0
+        prod, sq = buf[own], sq.reshape(-1)[own]
         # dist = sqrt(max(sq_norms - 2 z prod + sq, 0)), built in prod's buffer
-        dist = np.multiply(z2, prod, out=prod)
+        # (2 prod) z is exact for z = +-1, so it equals (2 z) prod
+        dist = np.multiply(prod, 2.0, out=prod)
+        dist *= za
         np.subtract(sq_norms, dist, out=dist)
         dist += sq[:, None]
         np.maximum(dist, 0.0, out=dist)
@@ -313,7 +387,7 @@ def _solve_batch(coords, signs, config):
             raise DegenerateSample("non-finite distances encountered")
 
         if t % 4 == 0:
-            for j in np.nonzero(row_min < 0.02)[0]:
+            for j in np.nonzero(live & (row_min < 0.02))[0]:
                 k = int(dist[j].argmin())
                 snapped = vertex_solution(idx[j], k)
                 if snapped is not None:
@@ -331,9 +405,10 @@ def _solve_batch(coords, signs, config):
             eta = coincide.sum(axis=1).astype(np.float64)
         denom = weights.sum(axis=1)
         weights *= za
-        numer = coords.combine(weights)
-        resid = numer - denom[:, None] * ba
-        resid_norm = coords.norm(resid)
+        numer = coords.combine(stacked(buf)).reshape(-1, width)[own]
+        np.multiply(ba, denom[:, None], out=resid[own])
+        np.subtract(numer, resid[own], out=resid[own])
+        resid_norm = coords.norm(stacked(resid)).reshape(-1)[own]
         # new - ba = resid / denom, so the step norm needs no third product
         with np.errstate(invalid="ignore"):  # 0/0 in rows whose every point coincides
             new = np.divide(numer, denom[:, None], out=numer)
@@ -350,24 +425,45 @@ def _solve_batch(coords, signs, config):
         grad_ok = (resid_norm <= grad_bound) | (resid_norm <= eta)
         done = (step < config.tol) & grad_ok
 
-        if full:
-            beta = new
+        if every:
+            ba[...] = new
+            iterations[batch] = t
+            grad_norm[batch] = resid_norm
+            active[batch] = ~done
         else:
-            beta[idx] = new
-        iterations[idx] = t
-        grad_norm[idx] = resid_norm
-        active[idx[done]] = False
+            # rows that stopped before this sweep keep their centers
+            np.copyto(ba, new, where=live[:, None])
+            if not full:
+                beta[idx] = ba
+            stepped = idx[live]
+            iterations[stepped] = t
+            grad_norm[stepped] = resid_norm[live]
+            active[idx[live & done]] = False
 
     if active.any():
         row = int(np.nonzero(active)[0][0])
-        raise DidNotConverge(config.max_iter, grad_norm[row], replicate=row)
+        raise DidNotConverge(config.max_iter, grad_norm[row], replicate=row - lead)
     # back from units, before the mapping to R^p (unit is a power of two, so
     # scaling the width-wide coefficients is exact and cheaper than the result)
     beta *= coords.unit
-    beta = coords.to_points(beta)
+    beta = coords.to_points(stacked(beta)).reshape(total, -1)
     for row, center in polished.items():
         beta[row] = center * coords.unit
-    return beta, iterations, grad_norm
+    return beta[batch], iterations[batch], grad_norm[batch]
+
+
+def _coordinate_median(points):
+    """Coordinate-wise median of the rows, as ``np.median(points, axis=0)`` gives it.
+
+    Finite input needs none of np.median's NaN handling, whose first call
+    imports numpy.ma; a partition at the middle order statistics (their
+    average (a + b) / 2.0 for even n) gives the same bits.
+    """
+    h = points.shape[0] // 2
+    if points.shape[0] % 2:
+        return np.partition(points, h, axis=0)[h]
+    low, high = np.partition(points, (h - 1, h), axis=0)[h - 1 : h + 1]
+    return (low + high) / 2.0
 
 
 def _fit_center(points, config):
@@ -378,7 +474,7 @@ def _fit_center(points, config):
     (center, iterations, unit).  Out of iterations, it raises DidNotConverge
     without a replicate index: a fit is no bootstrap replicate.
     """
-    median = np.median(points, axis=0)
+    median = _coordinate_median(points)
     coords = _PointCoords(points - median)
     try:
         beta, iters, _ = _solve_batch(coords, np.ones((1, points.shape[0])), config)

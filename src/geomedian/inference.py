@@ -56,7 +56,7 @@ class SciResult:
             "level": self.level,
             "q_boot": self.q_boot,
             "method": self.method,
-            "intervals": [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)],
+            "intervals": np.column_stack((self.lower, self.upper)).tolist(),
         }
 
 

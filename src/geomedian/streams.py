@@ -66,4 +66,6 @@ def rademacher(seed: int, namespace: int, first: int, count: int, n: int) -> np.
     raw = bit_gen.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)[:, :words]
     raw = np.ascontiguousarray(raw, dtype="<u8")
     bits = np.unpackbits(raw.view(np.uint8), axis=1, count=n, bitorder="little")
-    return bits * 2.0 - 1.0
+    signs = np.multiply(bits, 2.0)
+    signs -= 1.0  # in place: one (count, n) array, not two
+    return signs

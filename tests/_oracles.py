@@ -64,16 +64,18 @@ def all_sign_patterns(n):
 def is_distance_sum_minimizer(points, beta, tol=1e-6):
     """Subgradient optimality check: interior or vertex condition.
 
-    A point within 1e-9 * max|points| of beta counts as coincident with it.
-    Norms are taken after dividing by a power of two above max|points|,
-    which is exact, so no square overflows or underflows at any magnitude.
+    A point within 1e-9 of the spread of the points about beta (their
+    largest distance from it) counts as coincident with beta, so the radius
+    follows the data's scale and not its offset.  Norms are taken after
+    dividing by a power of two above max|points - beta|, which is exact, so
+    no square overflows or underflows at any magnitude.
     """
     points = np.asarray(points, dtype=np.float64)
-    peak = float(np.abs(points).max())
-    unit = math.ldexp(1.0, math.frexp(peak)[1])
-    diff = (points - beta) / unit
+    diff = points - beta
+    peak = float(np.abs(diff).max())
+    diff = diff / math.ldexp(1.0, math.frexp(peak)[1])
     norms = np.linalg.norm(diff, axis=1)
-    at = norms <= 1e-9 * peak / unit
+    at = norms <= 1e-9 * norms.max()
     pull = (diff[~at] / norms[~at, None]).sum(axis=0)
     return float(np.linalg.norm(pull)) <= float(at.sum()) + points.shape[0] * tol
 

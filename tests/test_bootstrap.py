@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from geomedian import (
     bootstrap_mean,
     bootstrap_spatial_median,
     conditional_variance,
+    global_test_median,
     quantile,
     run_coverage,
     sci,
     spatial_median,
     validate_sample,
 )
+from geomedian import bootstrap
 from geomedian.bootstrap import _REPLICATE_CONFIG, BootstrapDraws
 from geomedian.data import ar1_shape
-from geomedian.errors import InvalidLevel, InvalidScenario, TooFewDraws
+from geomedian.errors import DidNotConverge, InvalidLevel, InvalidScenario, TooFewDraws
 from geomedian.estimator import SolverConfig, _PointCoords, _solve_batch, _SpanCoords
 from geomedian.simdata import DistributionSpec, draw
 from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, rademacher
@@ -303,9 +306,11 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     combine, vertex = coords.combine, coords.vertex
 
     def combine_spy(self, weights):
-        # one call per sweep; a zero weight marks an anchored point, so that
-        # row takes a Vardi-Zhang step with lambda > 0
-        sweeps.append((weights.shape[0], int((weights == 0).any(axis=1).sum())))
+        # one call per sweep, on a stack of one-row slabs; a zero weight
+        # marks an anchored point, so that row takes a Vardi-Zhang step with
+        # lambda > 0
+        rows = weights.reshape(-1, weights.shape[-1])
+        sweeps.append((rows.shape[0], int((rows == 0).any(axis=1).sum())))
         return combine(self, weights)
 
     def vertex_spy(self, k, sign):
@@ -368,3 +373,115 @@ def test_replicate_count_below_one_is_rejected(call):
     sample = validate_sample(np.random.default_rng(3).standard_normal((10, 3)))
     with pytest.raises(InvalidScenario, match="B must be >= 1"):
         call(sample)
+
+
+def _prefix_inputs():
+    """Span (p > n) and R^p inputs, each with the centre its replicates use.
+
+    A centre of None means the sample's own fit.
+    """
+    rng = np.random.default_rng(71)
+    ar1 = draw(DistributionSpec("gaussian", np.zeros(300), ar1_shape(300, 0.8)), 40, seed=72).values
+    return {
+        "span_ar1_40x300": (ar1, None),
+        "point_t3_100x100": (rng.standard_t(3.0, (100, 100)), None),
+        "point_gauss_30x5": (rng.standard_normal((30, 5)), None),
+        # centred at the shift: vertex snaps, anchoring and replicates that crawl
+        "span_duplicated_rows": (_duplicated_rows(np.random.default_rng(0), 25) + 0.5, 0.5),
+        "point_duplicated_rows": (_duplicated_rows(np.random.default_rng(0), 8) + 0.5, 0.5),
+    }
+
+
+def _fresh(values, center):
+    sample = validate_sample(values)
+    fit = spatial_median(sample)
+    if center is not None:
+        fit = dataclasses.replace(fit, theta_hat=np.full(sample.p, center))
+    return sample, fit
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(_prefix_inputs()))
+def test_replicates_do_not_depend_on_B(name, workers):
+    # replicate b's bits depend on (sample, fit, seed, namespace, b) only, so
+    # a shorter bootstrap is a prefix of a longer one, whatever batches solve it
+    values, center = _prefix_inputs()[name]
+    stats = {}
+    for B in (50, 200, 300, 400):
+        sample, fit = _fresh(values, center)
+        stats[B] = bootstrap_spatial_median(sample, fit, B, seed=13, workers=workers).stats
+    for B in (50, 200, 300):
+        assert np.array_equal(stats[B], stats[400][:B])
+    means = {B: bootstrap_mean(validate_sample(values), B, seed=13, workers=workers).stats for B in (50, 200, 400)}
+    assert np.array_equal(means[50], means[400][:50]) and np.array_equal(means[200], means[400][:200])
+
+
+@pytest.mark.parametrize("coords", [_PointCoords, _SpanCoords], ids=["point", "span"])
+def test_replicate_solved_alone_equals_its_batch_row(coords):
+    values, center = _prefix_inputs()["span_duplicated_rows"]
+    sample, fit = _fresh(values, center)
+    solver = coords(sample.values - fit.theta_hat)
+    signs = rademacher(5, NS_BOOT_MEDIAN, 0, 96, sample.n)
+    batch, iters, _ = _solve_batch(solver, signs, _REPLICATE_CONFIG)
+    assert iters.max() > 2 * iters.min()  # rows stop at different sweeps
+    for b in (0, 1, 31, 32, 50, 95):
+        alone, _, _ = _solve_batch(solver, signs[b : b + 1], _REPLICATE_CONFIG, first=b)
+        assert np.array_equal(alone[0], batch[b])
+    tail, _, _ = _solve_batch(solver, signs[37:], _REPLICATE_CONFIG, first=37)
+    assert np.array_equal(tail, batch[37:])
+
+
+@pytest.mark.parametrize("name", ["span_ar1_40x300", "point_t3_100x100"])
+def test_sci_after_a_test_on_one_sample_matches_a_fresh_sample(name):
+    values, _ = _prefix_inputs()[name]
+    shared = validate_sample(values)
+    test = global_test_median(shared, np.zeros(shared.p), 0.05, 200, seed=17)
+    band = sci(shared, 0.9, 400, seed=17)
+    fresh_band = sci(validate_sample(values), 0.9, 400, seed=17)
+    fresh_test = global_test_median(validate_sample(values), np.zeros(shared.p), 0.05, 200, seed=17)
+    assert json.dumps(band.to_json()) == json.dumps(fresh_band.to_json())
+    assert json.dumps(test.to_json()) == json.dumps(fresh_test.to_json())
+    # the test's draws are a prefix of the stored ones, so a second test hits
+    stored = shared._draws[1]
+    assert stored.size == 400 and not stored.flags.writeable
+    again = bootstrap_spatial_median(shared, shared._fit, 200, seed=17)
+    assert np.shares_memory(again.stats, stored) and not again.stats.flags.writeable
+
+
+def test_memo_keeps_one_bootstrap_per_sample():
+    sample = validate_sample(np.random.default_rng(73).standard_normal((20, 4)))
+    fit = spatial_median(sample)
+    for seed in range(50):
+        last = bootstrap_spatial_median(sample, fit, 30, seed)
+    assert sample._draws[0] == (NS_BOOT_MEDIAN, 49) and sample._draws[1] is last.stats
+    means = bootstrap_mean(sample, 30, 49)
+    assert sample._draws[0] == (NS_BOOT_MEAN, 49) and sample._draws[1] is means.stats
+    assert not np.array_equal(means.stats, last.stats)
+
+
+def test_extension_failure_names_its_replicate_and_stores_nothing(monkeypatch):
+    sample = validate_sample(np.random.default_rng(74).standard_normal((20, 4)))
+    fit = spatial_median(sample)
+    first = bootstrap_spatial_median(sample, fit, 200, seed=3)
+    monkeypatch.setattr(bootstrap, "_REPLICATE_CONFIG", dataclasses.replace(_REPLICATE_CONFIG, max_iter=1))
+    assert bootstrap_spatial_median(sample, fit, 150, seed=3).stats.base is first.stats  # a hit solves nothing
+    with pytest.raises(DidNotConverge) as err:
+        bootstrap_spatial_median(sample, fit, 400, seed=3)
+    assert err.value.replicate == 200
+    assert sample._draws[1] is first.stats
+
+
+def test_a_fit_other_than_the_samples_own_bypasses_the_memo():
+    values = np.random.default_rng(75).standard_normal((20, 4))
+    sample = validate_sample(values)
+    own = spatial_median(sample)
+    stored = bootstrap_spatial_median(sample, own, 100, seed=4).stats
+    shifted = dataclasses.replace(own, theta_hat=own.theta_hat + 0.25)
+    other = bootstrap_spatial_median(sample, shifted, 100, seed=4).stats
+    assert sample._draws[1] is stored and not np.array_equal(other, stored)
+    fresh_sample = validate_sample(values)
+    fresh = bootstrap_spatial_median(fresh_sample, shifted, 100, seed=4).stats
+    assert np.array_equal(other, fresh) and fresh_sample._draws is None
+    # an equal fit that is another object bypasses it too
+    assert np.array_equal(bootstrap_spatial_median(sample, dataclasses.replace(own), 100, seed=4).stats, stored)
+    assert sample._draws[1] is stored

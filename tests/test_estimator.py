@@ -152,9 +152,15 @@ def test_translation_equivariance_at_large_offsets(c):
     shifted = _PROBE + c
     # the data the shifted sample represents: exact by Sterbenz's lemma
     represented = shifted - c
-    theta = spatial_median(validate_sample(shifted)).theta_hat
+    fit = spatial_median(validate_sample(shifted))
+    theta = fit.theta_hat
     reference = spatial_median(validate_sample(represented)).theta_hat
     assert np.abs(theta - c - reference).max() <= 2 * np.spacing(c) + 1e-9 * s
+    # theta is the represented minimizer rounded to spacing(c) per coordinate,
+    # which moves the summed directions by up to n * zeta1 * sqrt(p) * spacing(c)
+    tol = 1e-6 + fit.zeta1_hat * np.sqrt(_PROBE.shape[1]) * np.spacing(c)
+    assert is_distance_sum_minimizer(shifted, theta, tol=tol)
+    assert not is_distance_sum_minimizer(shifted, theta + 100.0, tol=tol)
 
 
 def test_b_diag_sums_to_one_given_nonzero_residuals():

@@ -26,6 +26,9 @@ The corpus:
   extreme magnitudes.
 - ``highdim/...``: a global test then intervals on one sample at n = 100,
   p = 2000, AR(1) rho = 0.8, Gaussian and t3.
+- ``shared/...``: a global test (B = 200) then intervals (B = 400) on one
+  sample at one seed, so the intervals reuse the test's 200 replicates
+  through the sample's draws memo; a p > n (span) and a p < n (R^p) input.
 - ``simdata/draw/...``: the bytes of ``draw`` itself, for each model at
   40x10 with rho = 0 and for a 40x10 AR(1) rho = 0.5 Gaussian.
 """
@@ -247,6 +250,16 @@ def highdim_entries():
         yield f"highdim/sci/{name}", _digest(json.dumps(band.to_json(), sort_keys=True))
 
 
+def shared_entries():
+    rng = np.random.default_rng(53)
+    inputs = {"span_t3_30x120": rng.standard_t(3.0, (30, 120)), "point_gauss_60x10": rng.standard_normal((60, 10))}
+    for name, x in inputs.items():
+        sample = validate_sample(x)
+        test = inference.global_test_median(sample, np.zeros(x.shape[1]), 0.05, 200, 54)
+        band = inference.sci(sample, 0.9, 400, 54)
+        yield f"shared/test_then_sci/{name}", _digest(json.dumps([test.to_json(), band.to_json()], sort_keys=True))
+
+
 def simdata_entries():
     n, p = 40, 10
     for name, (model, df, t_mode, rho) in DRAWS.items():
@@ -256,7 +269,8 @@ def simdata_entries():
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        groups = (cli_entries(work), solver_entries(), scale_entries(), highdim_entries(), simdata_entries())
+        groups = (cli_entries(work), solver_entries(), scale_entries(), highdim_entries(), shared_entries(),
+                  simdata_entries())
         for group in groups:
             for label, digest in group:
                 print(f"{digest}  {label}", flush=True)
