@@ -23,9 +23,12 @@ Replicates are solved in fixed-size batches (a constant independent of the
 worker count) so the arithmetic performed for a given (inputs, B, seed)
 never depends on scheduling.  When the dimension exceeds the sample size
 (p > n) the spatial-median replicates iterate in span coordinates over the
-Gram matrix of the residuals, otherwise in R^p; either way the coordinates
-are built once per call that has replicates to solve.  The choice depends
-only on the input's shape.
+Gram matrix of the residuals, otherwise in R^p; the choice depends only on
+the input's shape.  With the sample's own fit the coordinates are built once
+per sample and kept on it (``Sample._coords``); with any other fit, once per
+call that has replicates to solve.  A batch returns each replicate's
+max-norm, not its centre: the mapping to R^p runs slab by slab and each slab
+is reduced while it is in cache (``estimator._SpanCoords.peaks``).
 """
 
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ from .estimator import (
     _MEMO_LOCK,
     SolverConfig,
     SpatialMedianFit,
+    _max_abs,
     _PointCoords,
     _slabs,
     _solve_batch,
@@ -107,12 +111,13 @@ def _parallel_map(func, items, workers: int) -> None:
 def _multiplier_bootstrap(
     sample: Sample, solver, namespace: int, B: int, seed: int, workers: int, memo: bool = True
 ) -> BootstrapDraws:
-    """Run B sign-multiplier replicates through ``solver()(signs, first) -> centers``.
+    """Run B sign-multiplier replicates through ``solver()(signs, first) -> max-norms``.
 
     ``solver()`` builds a function that maps the sign rows of replicates
-    first, first + 1, ... (one row of n signs per replicate) to their
-    centers.  Replicate b takes row b of the counter-based sign stream keyed
-    by (seed, namespace) and records sqrt(n) * max|center_b|.
+    first, first + 1, ... (one row of n signs per replicate) to the
+    max-norms max|center| of their centers.  Replicate b takes row b of the
+    counter-based sign stream keyed by (seed, namespace) and records
+    sqrt(n) * max|center_b|.
 
     With ``memo``, the sample keeps the statistics of its last bootstrap
     (``Sample._draws``).  A call at the same (namespace, seed) returns a
@@ -138,15 +143,12 @@ def _multiplier_bootstrap(
         lo, hi = span
         signs = rademacher(seed, namespace, lo, hi - lo, n)
         try:
-            centers = solve(signs, lo)
+            peaks = solve(signs, lo)
         except DidNotConverge as err:
             raise DidNotConverge(
                 err.iterations, err.grad_norm, replicate=lo + (err.replicate or 0)
             ) from err
-        # max|c| without an |centers| temporary; abs keeps +0.0 for a row of
-        # zeros whose max(max, -min) may come out as -0.0
-        peak = np.maximum(centers.max(axis=1), -centers.min(axis=1))
-        stats[lo:hi] = root_n * np.abs(peak)
+        stats[lo:hi] = root_n * peaks
 
     spans = [(lo, min(lo + _BATCH, B)) for lo in range(known.size, B, _BATCH)]
     _parallel_map(run_batch, spans, workers)
@@ -169,19 +171,37 @@ def bootstrap_spatial_median(
     ``tol = 1e-6`` under the fits' residual certificate
     (``_REPLICATE_CONFIG``).  A replicate that fails to converge raises
     DidNotConverge carrying its index.  Only the sample's own fit
-    (``sample._fit``) shares draws through the sample's memo.
+    (``sample._fit``) shares draws and coordinates through the sample's
+    memos.
     """
+    memo = fit is sample._fit
 
     def solver():
-        # replicates start at the origin, the center of the sign-symmetric
-        # replicate law, so with p > n they can iterate in the n-dimensional
-        # span of the residuals; the coordinates (and with them the Gram
-        # matrix) are built once and shared by the batches
-        coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
-        return lambda signs, first: _solve_batch(coords, signs, _REPLICATE_CONFIG, first)[0]
+        coords = _replicate_coords(sample, fit, memo)
+        return lambda signs, first: _solve_batch(coords, signs, _REPLICATE_CONFIG, first, peaks=True)[0]
 
-    memo = fit is sample._fit
     return _multiplier_bootstrap(sample, solver, NS_BOOT_MEDIAN, B, seed, workers, memo)
+
+
+def _replicate_coords(sample: Sample, fit: SpatialMedianFit, memo: bool):
+    """The coordinates the replicates solve over: ``sample.values - fit.theta_hat``.
+
+    Replicates start at the origin, the center of the sign-symmetric
+    replicate law, so with p > n they can iterate in the n-dimensional span
+    of the residuals (and the Gram matrix is built with the coordinates).
+    With ``memo`` (the sample's own fit) the sample keeps the first
+    coordinates stored (``Sample._coords``) and every later call shares
+    them; the lock guards only the store, never a build.
+    """
+    if memo and sample._coords is not None:
+        return sample._coords
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
+    if not memo:
+        return coords
+    with _MEMO_LOCK:
+        if sample._coords is None:
+            object.__setattr__(sample, "_coords", coords)
+    return sample._coords
 
 
 def bootstrap_mean(sample: Sample, B: int, seed: int, workers: int = 1) -> BootstrapDraws:
@@ -199,7 +219,7 @@ def bootstrap_mean(sample: Sample, B: int, seed: int, workers: int = 1) -> Boots
             laid, lead = _slabs(signs, _PRODUCT_ROWS, first)
             prod = laid.reshape(-1, _PRODUCT_ROWS, sample.n) @ centered
             prod /= sample.n
-            return prod.reshape(-1, sample.p)[lead : lead + signs.shape[0]]
+            return _max_abs(prod).reshape(-1)[lead : lead + signs.shape[0]]
 
         return solve
 

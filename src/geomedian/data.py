@@ -34,11 +34,20 @@ class Sample:
     :mod:`geomedian.bootstrap`).  Replicate b's statistic depends only on
     the sample, the fit, the seed, the namespace and b, so a stored prefix
     is byte-identical to fresh draws.
+
+    ``_coords`` memoises the coordinates those bootstraps solve over: the
+    residuals about ``_fit``, divided by a power of two, with their Gram
+    matrix when p > n (see :mod:`geomedian.bootstrap`).  They are built by
+    the first bootstrap with the sample's own fit and read-only, so every
+    later one, at any seed, skips the build.  The price is one n x p copy
+    of the residuals per sample bootstrapped with its own fit, kept as long
+    as the sample (with its transpose when p <= n).
     """
 
     values: np.ndarray
     _fit: object = field(default=None, init=False, repr=False, compare=False)
     _draws: object = field(default=None, init=False, repr=False, compare=False)
+    _coords: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -8,14 +8,15 @@ distances are evaluated through the inner-product expansion
 ``||z*x - b||^2 = ||x||^2 - 2 z <x, b> + ||b||^2`` (valid because z = +-1) so
 each iteration is a few matrix products.
 
-Every solve runs in the points' own units.  The coordinates keep one copy of
-the points divided by ``unit``, a power of two near their mean row norm, so
-the scaling is exact, no square overflows or underflows at any magnitude, and
-the solver's radii and step test are plain constants in those units.  Every
+Every solve runs in the points' own units.  The coordinates take over a
+fresh copy of the points and divide it by ``unit``, a power of two near their
+median row norm (so one gross outlier row cannot move it), so the scaling is
+exact, no square overflows or underflows at any magnitude, and the solver's
+radii and step test are plain constants in those units.  Every
 solve starts at the origin: a fit or median-of-means centres its points on
 their coordinate-wise median first and adds it back afterwards, and bootstrap
 replicates solve residuals that are already centred.  So the expansion's
-cancellation noise is about sqrt(eps) of the mean row norm whatever the
+cancellation noise is about sqrt(eps) of the median row norm whatever the
 data's magnitude or offset, and distances are never recomputed directly.
 
 A sweep builds the distance matrix in place and takes its row minima once;
@@ -26,15 +27,17 @@ radius of the iterate, that point weighted out and the step blended back
 towards the iterate.
 
 Every solve is one call of ``_solve_batch``, in one of two representations of
-the iterates, each built once per point set.  Its matrix products run on
-fixed-shape slabs of ``config.product_rows`` rows, each row in the slot its
-index fixes, so a row's bits never depend on how many other rows share its
-batch or which of them are still running.  Plain points of R^p serve every
-fit.  Solves started at the origin never leave the row span of the points, so
-they can instead carry coefficients a in R^n with beta = a @ X; the inner
-products then come from the n x n Gram matrix X X^T, and an iteration costs
-O(n^2) per row instead of O(n p).  Both share one update rule; vertex checks
-and the Newton finish always work on points of R^p.
+the iterates, each built once per point set and read-only after that.  Its
+matrix products run on fixed-shape slabs of ``config.product_rows`` rows, each
+row in the slot its index fixes, so a row's bits never depend on how many
+other rows share its batch or which of them are still running.  Plain points
+of R^p serve every fit.  Solves started at the origin never leave the row span
+of the points, so they can instead carry coefficients a in R^n with
+beta = a @ X; the inner products then come from the n x n Gram matrix X X^T,
+and an iteration costs O(n^2) per row instead of O(n p).  Both share one
+update rule; vertex checks and the Newton finish always work on points of
+R^p.  A bootstrap asks only for each row's max|beta|, which the span
+representation takes slab by slab from the mapping to R^p.
 """
 
 import threading
@@ -62,7 +65,7 @@ class SolverConfig:
     use the defaults (``_FIT_CONFIG``); bootstrap replicates stop at a coarser
     ``tol`` and keep ``grad_tol`` (``bootstrap._REPLICATE_CONFIG``).
     ``tol`` and ``anchor_eps`` are in solver units (the coordinates' ``unit``,
-    near the mean row norm of the centred points): points within
+    near the median row norm of the centred points): points within
     ``anchor_eps`` of the iterate are treated as coincident with it.
 
     The iteration budget allows for the near-vertex regime, where an optimum
@@ -105,18 +108,32 @@ class SpatialMedianFit:
 
 
 def _in_units(points):
-    """A float64 copy of ``points`` divided by ``unit``, and ``unit``.
+    """Divide the float64 array ``points`` by ``unit`` in place; return ``unit``.
 
-    ``unit`` is a power of two near the copy's mean row norm.  The copy is
-    first divided by a power of two above max|x|, so no square overflows or
-    underflows; every division is by a power of two, so the scaling is exact.
-    All-zero points get unit 1, since frexp(0) has exponent 0.
+    ``unit`` is a power of two near the points' median row norm, a scale that
+    one gross outlier row cannot move (a mean can: it would shrink every
+    other row under the solver's vertex radius).  It is clamped below at
+    max row norm / 2^500, so no row's square overflows in those units when
+    most rows are tiny.  The points are first divided by a power of two
+    above max|x|, so no square overflows there either; every division is by
+    a power of two, so the scaling is exact.  All-zero points get unit 1,
+    since frexp(0) has exponent 0.
     """
     peak = np.frexp(max(points.max(), -points.min()))[1]
-    copy = np.ldexp(points, -peak)
-    spread = np.frexp(np.sqrt(np.einsum("ij,ij->i", copy, copy)).mean())[1]
-    np.ldexp(copy, -spread, out=copy)
-    return copy, np.ldexp(1.0, peak + spread)
+    np.ldexp(points, -peak, out=points)
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    spread = max(np.frexp(_coordinate_median(norms))[1], np.frexp(norms.max())[1] - 500)
+    np.ldexp(points, -spread, out=points)
+    return np.ldexp(1.0, peak + spread)
+
+
+def _max_abs(rows):
+    """max|x| along the last axis, without an |rows| temporary.
+
+    abs keeps +0.0 for a row of zeros, whose max(max, -min) may come out as
+    -0.0.
+    """
+    return np.abs(np.maximum(rows.max(axis=-1), -rows.min(axis=-1)))
 
 
 def _slabs(rows, product_rows, first=0):
@@ -144,20 +161,28 @@ def _slabs(rows, product_rows, first=0):
 class _PointCoords:
     """Batch iterates stored as vectors of R^p (the plain representation).
 
-    The products take stacks of rows with any leading shape.
+    Both representations take over the fresh float64 array of points they
+    are built from: it is divided by ``unit`` in place and, like every
+    array they hold, made read-only, so one object can be shared by
+    concurrent solves and kept on a sample.  The products take stacks of
+    rows with any leading shape.
     """
 
     def __init__(self, points):
-        self.points, self.unit = _in_units(points)
-        self.sq_norms = np.einsum("ij,ij->i", self.points, self.points)
-        self.width = self.points.shape[1]
+        self.unit = _in_units(points)
+        self.points = points
+        self.sq_norms = np.einsum("ij,ij->i", points, points)
+        self.width = points.shape[1]
+        points.flags.writeable = self.sq_norms.flags.writeable = False
 
     @cached_property
     def points_t(self):
         """points.T made contiguous: a stack of slabs multiplies it at about
         half the cost of the transposed view.  Built on first use, so fits
         (one-row products, which take the view) never pay for the copy."""
-        return np.ascontiguousarray(self.points.T)
+        points_t = np.ascontiguousarray(self.points.T)
+        points_t.flags.writeable = False
+        return points_t
 
     def project(self, coef):
         """Inner products <beta_b, x_i> and squared norms ||beta_b||^2."""
@@ -174,6 +199,10 @@ class _PointCoords:
     def to_points(self, coef):
         return coef
 
+    def peaks(self, coef):
+        """max|beta_b| of every row b, as max|to_points(coef)| along its rows."""
+        return _max_abs(coef)
+
     def vertex(self, k, sign):
         """The multiplied data point sign * x_k."""
         return sign * self.points[k]
@@ -186,15 +215,16 @@ class _SpanCoords:
     its iterate and the multiplied points, so it stays in their row span.
     With the Gram matrix G = points @ points.T every inner product and norm
     the solver needs is a G-form of n-vectors, and one iteration costs
-    O(m n^2) instead of O(m n p).  Worth it when p > n.  Built once per
-    residual matrix and shared read-only by concurrent solves.
+    O(m n^2) instead of O(m n p).  Worth it when p > n.
     """
 
     def __init__(self, points):
-        self.points, self.unit = _in_units(points)
-        self.gram = self.points @ self.points.T
+        self.unit = _in_units(points)
+        self.points = points
+        self.gram = points @ points.T
         self.sq_norms = np.diagonal(self.gram).copy()
-        self.width = self.points.shape[0]
+        self.width = points.shape[0]
+        points.flags.writeable = self.gram.flags.writeable = self.sq_norms.flags.writeable = False
 
     def project(self, coef):
         """As :meth:`_PointCoords.project`, with beta_b = coef[b] @ points."""
@@ -211,20 +241,105 @@ class _SpanCoords:
     def to_points(self, coef):
         return coef @ self.points
 
+    def peaks(self, coef):
+        """max|c| along each row c of ``to_points(coef)``, for a stack of
+        slabs, without that (rows x p) matrix: each slab runs the product
+        ``to_points`` runs on it, into one buffer, and is reduced while it
+        is in cache."""
+        out = np.empty(coef.shape[:-1])
+        slab = np.empty((coef.shape[-2], self.points.shape[1]))
+        for s, rows in enumerate(coef):
+            np.matmul(rows, self.points, out=slab)
+            out[s] = _max_abs(slab)
+        return out
+
     def vertex(self, k, sign):
         unit = np.zeros(self.points.shape[0])
         unit[k] = sign
         return unit
 
 
-def _solve_batch(coords, signs, config, first=0):
+def _vertex_solution(mul, k, eps_anchor):
+    """If point k of ``mul`` minimizes sum_i ||mul_i - beta||, return it and
+    the distances of all points from it, else None.
+
+    A data point is optimal exactly when the summed directions of the other
+    points, evaluated at it, have norm at most its multiplicity.  Weiszfeld
+    contracts only linearly into such a vertex, so detecting optimality
+    directly avoids a stall.
+    """
+    vertex = mul[k]
+    diff = mul - vertex
+    dnorm = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    at_vertex = dnorm <= eps_anchor
+    pull = (diff[~at_vertex] / dnorm[~at_vertex, None]).sum(axis=0)
+    if np.linalg.norm(pull) <= at_vertex.sum():
+        return vertex, dnorm
+    return None
+
+
+def _newton_polish(mul, start, eps_anchor, grad_bound):
+    """Damped Newton finish of min sum_i ||mul_i - beta|| from ``start``.
+
+    For a row whose fixed-point iteration crawls: an optimum a small
+    distance from a data point slows the contraction to 1 - O(distance);
+    the objective is smooth there, so a few backtracking Newton steps finish
+    the job.  Returns (beta, grad_norm) on success, None when no descent is
+    possible.
+    """
+    p = mul.shape[1]
+    beta_r = start.copy()
+
+    def distances(b):
+        diff = mul - b
+        return diff, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    diff, d = distances(beta_r)
+    value = d.sum()
+    for _ in range(60):
+        if d.min() <= eps_anchor:
+            snapped = _vertex_solution(mul, int(d.argmin()), eps_anchor)
+            if snapped is not None:
+                return snapped[0], 0.0
+            return None
+        w = 1.0 / d
+        grad = -(w[:, None] * diff).sum(axis=0)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= grad_bound:
+            return beta_r, gnorm
+        unit = diff * w[:, None]
+        hess = w.sum() * np.eye(p) - unit.T @ (w[:, None] * unit)
+        hess[np.diag_indices_from(hess)] += 1e-12 * w.sum()
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        slope = float(grad @ step)
+        if slope >= 0:
+            return None
+        t_bt = 1.0
+        for _ in range(80):
+            cand = beta_r + t_bt * step
+            diff_c, d_c = distances(cand)
+            if d_c.sum() <= value + 1e-4 * t_bt * slope:
+                beta_r, diff, d, value = cand, diff_c, d_c, d_c.sum()
+                break
+            t_bt *= 0.5
+        else:
+            return None
+    return None
+
+
+def _solve_batch(coords, signs, config, first=0, peaks=False):
     """Minimize sum_i ||signs[b, i] * x_i - beta_b|| for every batch row b.
 
     ``coords`` (:class:`_PointCoords` or :class:`_SpanCoords` over the x_i)
     holds the points in its units; every row starts at the origin, and the
     radii and the step test are ``config``'s constants in those units.  Vertex
     checks and the Newton polish run on points of R^p.  Returns (centers in
-    R^p, multiplied back by ``coords.unit``, iterations, grad_norm).
+    R^p, multiplied back by ``coords.unit``, iterations, grad_norm); with
+    ``peaks``, each row's max|center| in place of its center, taken slab by
+    slab (``coords.peaks``), so no (rows x p) matrix of centers is formed.
 
     Each sweep takes the row minima of the (rows x n) distance matrix once,
     and they open the rescue paths:
@@ -253,7 +368,7 @@ def _solve_batch(coords, signs, config, first=0):
     """
     points = coords.points
     sq_norms = coords.sq_norms
-    n, p = points.shape
+    n = points.shape[0]
     m = signs.shape[0]
     rows = config.product_rows
     signs, lead = _slabs(signs, rows, first)
@@ -267,74 +382,6 @@ def _solve_batch(coords, signs, config, first=0):
     active = np.zeros(total, dtype=bool)
     active[lead : lead + m] = True
     polished = {}  # row -> center in R^p, set by the Newton finish
-
-    def vertex_solution(row, k):
-        """If multiplied point k is the minimizer for batch row, return it and
-        the row's distances from it.
-
-        A data point is optimal exactly when the summed directions of the
-        other points, evaluated at it, have norm at most its multiplicity.
-        Weiszfeld contracts only linearly into such a vertex, so detecting
-        optimality directly avoids a stall.
-        """
-        vertex = signs[row, k] * points[k]
-        diff = signs[row][:, None] * points - vertex
-        dnorm = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        at_vertex = dnorm <= eps_anchor
-        pull = (diff[~at_vertex] / dnorm[~at_vertex, None]).sum(axis=0)
-        if np.linalg.norm(pull) <= at_vertex.sum():
-            return vertex, dnorm
-        return None
-
-    def newton_polish(row, start):
-        """Damped Newton finish for a row whose fixed-point iteration crawls.
-
-        An optimum a small distance from a data point slows the fixed-point
-        contraction to 1 - O(distance); the objective is smooth there, so a
-        few backtracking Newton steps finish the job.  Returns (beta,
-        grad_norm) on success, None when no descent is possible.
-        """
-        mul = signs[row][:, None] * points
-        beta_r = start.copy()
-
-        def distances(b):
-            diff = mul - b
-            return diff, np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-        diff, d = distances(beta_r)
-        value = d.sum()
-        for _ in range(60):
-            if d.min() <= eps_anchor:
-                snapped = vertex_solution(row, int(d.argmin()))
-                if snapped is not None:
-                    return snapped[0], 0.0
-                return None
-            w = 1.0 / d
-            grad = -(w[:, None] * diff).sum(axis=0)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= grad_bound:
-                return beta_r, gnorm
-            unit = diff * w[:, None]
-            hess = w.sum() * np.eye(p) - unit.T @ (w[:, None] * unit)
-            hess[np.diag_indices_from(hess)] += 1e-12 * w.sum()
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                return None
-            slope = float(grad @ step)
-            if slope >= 0:
-                return None
-            t_bt = 1.0
-            for _ in range(80):
-                cand = beta_r + t_bt * step
-                diff_c, d_c = distances(cand)
-                if d_c.sum() <= value + 1e-4 * t_bt * slope:
-                    beta_r, diff, d, value = cand, diff_c, d_c, d_c.sum()
-                    break
-                t_bt *= 0.5
-            else:
-                return None
-        return None
 
     width = coords.width
     batch = slice(lead, lead + m)
@@ -350,7 +397,8 @@ def _solve_batch(coords, signs, config, first=0):
             # anything still active this late is likely in the near-vertex
             # crawl; a second-order finish costs less than more sweeps
             for row in np.nonzero(active)[0]:
-                out = newton_polish(row, coords.to_points(beta[row : row + 1])[0])
+                start = coords.to_points(beta[row : row + 1])[0]
+                out = _newton_polish(signs[row][:, None] * points, start, eps_anchor, grad_bound)
                 if out is not None:
                     polished[row], grad_norm[row] = out
                     iterations[row] = t
@@ -389,7 +437,7 @@ def _solve_batch(coords, signs, config, first=0):
         if t % 4 == 0:
             for j in np.nonzero(live & (row_min < 0.02))[0]:
                 k = int(dist[j].argmin())
-                snapped = vertex_solution(idx[j], k)
+                snapped = _vertex_solution(za[j][:, None] * points, k, eps_anchor)
                 if snapped is not None:
                     ba[j] = coords.vertex(k, za[j, k])
                     dist[j] = snapped[1]
@@ -446,10 +494,15 @@ def _solve_batch(coords, signs, config, first=0):
     # back from units, before the mapping to R^p (unit is a power of two, so
     # scaling the width-wide coefficients is exact and cheaper than the result)
     beta *= coords.unit
-    beta = coords.to_points(stacked(beta)).reshape(total, -1)
-    for row, center in polished.items():
-        beta[row] = center * coords.unit
-    return beta[batch], iterations[batch], grad_norm[batch]
+    if peaks:
+        out = coords.peaks(stacked(beta)).reshape(total)
+        for row, center in polished.items():
+            out[row] = _max_abs(center * coords.unit)
+    else:
+        out = coords.to_points(stacked(beta)).reshape(total, -1)
+        for row, center in polished.items():
+            out[row] = center * coords.unit
+    return out[batch], iterations[batch], grad_norm[batch]
 
 
 def _coordinate_median(points):
@@ -503,6 +556,9 @@ def spatial_median(sample: Sample) -> SpatialMedianFit:
         return memo
     x = sample.values
     theta, iterations, unit = _fit_center(x, _FIT_CONFIG)
+    # the data's own norms (for the objective) while no residual is alive, so
+    # their n x p temporaries never overlap the residuals'
+    data_norms = _row_norms(x).sum()
 
     # in the solver's units: unit is a power of two, so dividing is exact
     residuals = x - theta
@@ -511,15 +567,17 @@ def spatial_median(sample: Sample) -> SpatialMedianFit:
     nonzero = norms > _FIT_CONFIG.anchor_eps
     k = int(nonzero.sum())
     if k:
-        directions = residuals[nonzero] / norms[nonzero, None]
+        # the directions and their squares in the residuals' own buffer
+        directions = residuals if k == sample.n else residuals[nonzero]
+        directions /= norms[nonzero, None]
         grad = float(np.linalg.norm(directions.sum(axis=0)))
         zeta1 = float((1.0 / norms[nonzero]).mean() / unit)
-        b_diag = (directions**2).sum(axis=0) / k
+        b_diag = np.square(directions, out=directions).sum(axis=0) / k
     else:
         grad = 0.0
         zeta1 = float("nan")
         b_diag = np.full(sample.p, np.nan)
-    objective = float(norms.sum() * unit - _row_norms(x).sum())
+    objective = float(norms.sum() * unit - data_norms)
     theta.flags.writeable = False
     b_diag.flags.writeable = False
     fit = SpatialMedianFit(
@@ -559,7 +617,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     norm is taken, and the norm multiplied back: both exact, so no square
     overflows or underflows.
     """
-    _, peak = np.frexp(np.abs(rows).max(axis=1))
+    _, peak = np.frexp(_max_abs(rows))
     return np.ldexp(np.linalg.norm(np.ldexp(rows, -peak[:, None]), axis=1), peak)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from geomedian import (
     spatial_median,
     validate_sample,
 )
-from geomedian import bootstrap
+from geomedian import bootstrap, estimator
 from geomedian.bootstrap import _REPLICATE_CONFIG, BootstrapDraws
 from geomedian.data import ar1_shape
 from geomedian.errors import DidNotConverge, InvalidLevel, InvalidScenario, TooFewDraws
@@ -173,11 +174,11 @@ def _check_sign_flip_closure(p):
     signs = rademacher(11, NS_BOOT_MEAN, 0, 8, 10)
     cfg = SolverConfig()
     n = residuals.shape[0]
-    beta_a, _, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
+    beta_a, _, _ = _solve_batch(_PointCoords(residuals.copy()), signs, cfg)
     beta_b, _, _ = _solve_batch(_PointCoords(-residuals), -signs, cfg)
     assert np.array_equal(beta_a, beta_b)
     if p > n:
-        span_a, _, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
+        span_a, _, _ = _solve_batch(_SpanCoords(residuals.copy()), signs, cfg)
         span_b, _, _ = _solve_batch(_SpanCoords(-residuals), -signs, cfg)
         assert np.array_equal(span_a, span_b)
 
@@ -195,14 +196,14 @@ def test_span_solve_matches_point_solve(model, df, rho):
     residuals = sample.values - fit.theta_hat
     signs = rademacher(5, NS_BOOT_MEDIAN, 0, B, n)
     cfg = SolverConfig()
-    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
-    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals.copy()), signs, cfg)
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals.copy()), signs, cfg)
     assert np.array_equal(span_iters, point_iters)
     span_stats = np.sqrt(n) * np.abs(span_beta).max(axis=1)
     assert_allclose(span_stats, np.sqrt(n) * np.abs(point_beta).max(axis=1), rtol=1e-12, atol=0.0)
     # the bootstrap dispatches this shape to the span solve, under its
     # replicate config
-    replicate_beta, _, _ = _solve_batch(_SpanCoords(residuals), signs, _REPLICATE_CONFIG)
+    replicate_beta, _, _ = _solve_batch(_SpanCoords(residuals.copy()), signs, _REPLICATE_CONFIG)
     draws = bootstrap_spatial_median(sample, fit, B, seed=5)
     assert np.array_equal(draws.stats, np.sqrt(n) * np.abs(replicate_beta).max(axis=1))
 
@@ -240,7 +241,7 @@ def test_replicates_meet_the_residual_certificate(values, center, rtol):
     residuals = sample.values - fit.theta_hat
     # the replicate centres, solved as the bootstrap solves them: one batch,
     # in the representation its shape selects
-    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals)
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(residuals.copy())
     centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG)
     assert np.array_equal(draws.stats, np.sqrt(sample.n) * np.abs(centres).max(axis=1))
     for b in range(B):
@@ -270,8 +271,8 @@ def test_span_solve_rescues_on_duplicated_rows(monkeypatch):
         monkeypatch.setattr(_SpanCoords, name, spy)
 
     cfg = SolverConfig()
-    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals), signs, cfg)
-    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals), signs, cfg)
+    span_beta, span_iters, _ = _solve_batch(_SpanCoords(residuals.copy()), signs, cfg)
+    point_beta, point_iters, _ = _solve_batch(_PointCoords(residuals.copy()), signs, cfg)
     assert calls["vertex"] > 0  # vertex snaps
     assert span_iters.max() < 256  # no Newton polish involved
     assert np.array_equal(span_iters, point_iters)
@@ -320,7 +321,7 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     monkeypatch.setattr(coords, "combine", combine_spy)
     monkeypatch.setattr(coords, "vertex", vertex_spy)
 
-    solver = coords(points)
+    solver = coords(points.copy())
     beta, iters, _ = _solve_batch(solver, signs, SolverConfig())
 
     rows = [size for size, _ in sweeps]
@@ -485,3 +486,157 @@ def test_a_fit_other_than_the_samples_own_bypasses_the_memo():
     # an equal fit that is another object bypasses it too
     assert np.array_equal(bootstrap_spatial_median(sample, dataclasses.replace(own), 100, seed=4).stats, stored)
     assert sample._draws[1] is stored
+
+
+def _counting_builds(monkeypatch):
+    """Count the coordinate builds the bootstrap makes, in either representation."""
+    builds = []
+    for name in ("_SpanCoords", "_PointCoords"):
+        base = getattr(bootstrap, name)
+
+        class Counting(base):
+            def __init__(self, points, _name=name):
+                builds.append(_name)
+                super().__init__(points)
+
+        monkeypatch.setattr(bootstrap, name, Counting)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "name, coords", [("span_ar1_40x300", "_SpanCoords"), ("point_t3_100x100", "_PointCoords")]
+)
+def test_one_coordinates_build_per_sample(monkeypatch, name, coords):
+    # a test and intervals at one seed, then intervals at another: the draws
+    # memo misses at the second seed, the coordinates memo does not
+    values, _ = _prefix_inputs()[name]
+    builds = _counting_builds(monkeypatch)
+    shared = validate_sample(values)
+    theta0 = np.zeros(shared.p)
+    outputs = [
+        global_test_median(shared, theta0, 0.05, 200, seed=17).to_json(),
+        sci(shared, 0.9, 400, seed=17).to_json(),
+        sci(shared, 0.9, 400, seed=18).to_json(),
+    ]
+    assert builds == [coords]
+    assert shared._coords is not None and shared._draws[0] == (NS_BOOT_MEDIAN, 18)
+    fresh = [
+        global_test_median(validate_sample(values), theta0, 0.05, 200, seed=17).to_json(),
+        sci(validate_sample(values), 0.9, 400, seed=17).to_json(),
+        sci(validate_sample(values), 0.9, 400, seed=18).to_json(),
+    ]
+    assert json.dumps(outputs) == json.dumps(fresh)
+
+
+def test_a_fit_other_than_the_samples_own_neither_reads_nor_writes_the_coordinates():
+    values = np.random.default_rng(76).standard_normal((12, 30))
+    sample = validate_sample(values)
+    own = spatial_median(sample)
+    shifted = dataclasses.replace(own, theta_hat=own.theta_hat + 0.25)
+    before = bootstrap_spatial_median(sample, shifted, 100, seed=4).stats
+    assert sample._coords is None  # not written
+    bootstrap_spatial_median(sample, own, 100, seed=4)
+    stored = sample._coords
+    assert stored is not None
+    after = bootstrap_spatial_median(sample, shifted, 100, seed=5).stats
+    fresh = validate_sample(values)
+    assert np.array_equal(after, bootstrap_spatial_median(fresh, shifted, 100, seed=5).stats)  # not read
+    assert np.array_equal(before, bootstrap_spatial_median(fresh, shifted, 100, seed=4).stats)
+    assert sample._coords is stored and fresh._coords is None
+    # an equal fit that is another object bypasses it too
+    bootstrap_spatial_median(sample, dataclasses.replace(own), 100, seed=6)
+    assert sample._coords is stored
+
+
+@pytest.mark.parametrize("name", ["span_ar1_40x300", "point_gauss_30x5"])
+def test_memoised_coordinates_are_read_only(name):
+    values, _ = _prefix_inputs()[name]
+    sample = validate_sample(values)
+    bootstrap_spatial_median(sample, spatial_median(sample), 50, seed=1)
+    coords = sample._coords
+    arrays = [coords.points, coords.sq_norms]
+    arrays += [coords.gram] if isinstance(coords, _SpanCoords) else [coords.points_t]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
+
+
+def test_concurrent_first_bootstraps_store_one_coordinates_object(monkeypatch):
+    values, _ = _prefix_inputs()["span_ar1_40x300"]
+    expected = bootstrap_spatial_median(*_fresh(values, None), 64, seed=8).stats
+    sample, fit = _fresh(values, None)
+    threads = 8
+    # every thread builds its own coordinates before any of them stores
+    barrier = threading.Barrier(threads)
+
+    class Racing(_SpanCoords):
+        def __init__(self, points):
+            super().__init__(points)
+            barrier.wait(timeout=60)
+
+    used = []
+
+    def solve(coords, *args, **kwargs):
+        used.append(coords)
+        return _solve_batch(coords, *args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "_SpanCoords", Racing)
+    monkeypatch.setattr(bootstrap, "_solve_batch", solve)
+    stats = [None] * threads
+
+    def run(i):
+        stats[i] = bootstrap_spatial_median(sample, fit, 64, seed=8).stats
+
+    bootstrap._parallel_map(run, range(threads), threads)
+    assert isinstance(sample._coords, Racing)
+    assert len(used) == threads and all(coords is sample._coords for coords in used)
+    assert all(np.array_equal(s, expected) for s in stats)
+
+
+def _polished_span_input():
+    """``point_duplicated_rows`` with twelve more columns at the centre: p = 20 > n = 12.
+
+    The extra residual coordinates are 0, so the replicates crawl as in R^8
+    and some reach the Newton polish, now in span coordinates.
+    """
+    values, center = _prefix_inputs()["point_duplicated_rows"]
+    return np.hstack([values, np.full((values.shape[0], 12), center)]), center
+
+
+@pytest.mark.parametrize(
+    "inputs, polishes",
+    [
+        (_prefix_inputs()["span_duplicated_rows"], False),
+        (_prefix_inputs()["point_duplicated_rows"], True),
+        (_polished_span_input(), True),
+    ],
+    ids=["span_duplicated_rows", "point_duplicated_rows", "span_polished"],
+)
+def test_statistics_are_max_norms_of_the_solved_centres(monkeypatch, inputs, polishes):
+    # the bootstrap takes each replicate's max-norm slab by slab, and a
+    # polished row's from its polished centre; a full solve to centres gives
+    # the same bits
+    values, center = inputs
+    sample, fit = _fresh(values, center)
+    events = {"polish": 0, "snap": 0}
+    newton_polish, vertex_solution = estimator._newton_polish, estimator._vertex_solution
+
+    def polish_spy(*args):
+        out = newton_polish(*args)
+        events["polish"] += out is not None
+        return out
+
+    def vertex_spy(*args):
+        out = vertex_solution(*args)
+        events["snap"] += out is not None
+        return out
+
+    monkeypatch.setattr(estimator, "_newton_polish", polish_spy)
+    monkeypatch.setattr(estimator, "_vertex_solution", vertex_spy)
+    B, seed = 64, 3
+    draws = bootstrap_spatial_median(sample, fit, B, seed)
+    assert events["snap"] > 0 and (events["polish"] > 0) == polishes
+    signs = rademacher(seed, NS_BOOT_MEDIAN, 0, B, sample.n)
+    coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
+    centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG)
+    assert np.array_equal(draws.stats, np.sqrt(sample.n) * np.abs(centres).max(axis=1))

@@ -163,6 +163,56 @@ def test_translation_equivariance_at_large_offsets(c):
     assert not is_distance_sum_minimizer(shifted, theta + 100.0, tol=tol)
 
 
+def _one_gross_outlier(a):
+    """A t3 30x200 sample whose row 0 is scaled by ``a``."""
+    x = np.random.default_rng(45).standard_t(3.0, (30, 200))
+    x[0] *= a
+    return x
+
+
+@pytest.mark.parametrize("a", [1e2, 1e4, 1e6, 1e100])
+def test_one_gross_outlier_row_keeps_the_fit_a_minimizer(a):
+    x = _one_gross_outlier(a)
+    assert is_distance_sum_minimizer(x, spatial_median(validate_sample(x)).theta_hat)
+
+
+def test_one_gross_outlier_row_runs_no_vertex_test(monkeypatch):
+    # a unit from the mean row norm follows the outlier (about 330 times the
+    # other rows here), which puts every other residual under the 0.02 vertex
+    # radius; every replicate row then runs the per-row optimality test
+    # every 4th sweep.  The median row norm ignores the outlier.
+    sample = validate_sample(_one_gross_outlier(1e4))
+    fit = spatial_median(sample)
+    tested = []
+    vertex_solution = estimator._vertex_solution
+
+    def spy(mul, k, eps_anchor):
+        tested.append(k)
+        return vertex_solution(mul, k, eps_anchor)
+
+    monkeypatch.setattr(estimator, "_vertex_solution", spy)
+    bootstrap.bootstrap_spatial_median(sample, fit, 200, seed=1)
+    assert tested == []
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 1e-58])
+def test_tiny_rows_and_one_huge_row_stay_finite(tiny):
+    # n - 1 tiny rows make the median row norm tiny, and unlike the mean it
+    # does not bound the largest row: the unit's floor at max row norm /
+    # 2^500 keeps the huge row's square finite.  At 1e-58 the tiny rows'
+    # squares survive the scaling below max|x| as subnormals, and without the
+    # floor the solve overflows.  The suite turns any RuntimeWarning into an
+    # error.
+    rng = np.random.default_rng(46)
+    x = rng.standard_normal((12, 5)) * tiny
+    x[0] = rng.standard_normal(5) * 1e100
+    sample = validate_sample(x)
+    fit = spatial_median(sample)
+    draws = bootstrap.bootstrap_spatial_median(sample, fit, 50, seed=1)
+    assert np.isfinite(fit.theta_hat).all() and np.isfinite(draws.stats).all()
+    assert is_distance_sum_minimizer(x, fit.theta_hat)
+
+
 def test_b_diag_sums_to_one_given_nonzero_residuals():
     rng = np.random.default_rng(6)
     for trial in range(5):

@@ -29,6 +29,10 @@ The corpus:
 - ``shared/...``: a global test (B = 200) then intervals (B = 400) on one
   sample at one seed, so the intervals reuse the test's 200 replicates
   through the sample's draws memo; a p > n (span) and a p < n (R^p) input.
+  ``shared/two_seeds/...`` adds a test at the next seed on the same sample:
+  the draws memo misses there and the coordinates memo hits.
+- ``outlier/...``: a fit and a bootstrap on a t3 30x200 sample whose row 0
+  is scaled by 1e4, which the solver's unit must not follow.
 - ``simdata/draw/...``: the bytes of ``draw`` itself, for each model at
   40x10 with rho = 0 and for a 40x10 AR(1) rho = 0.5 Gaussian.
 """
@@ -215,12 +219,11 @@ def solver_entries():
         for B in (64, 300):
             yield f"solver/bootstrap_median_B{B}/{name}", _entry(lambda: _draws_parts(
                 bootstrap.bootstrap_spatial_median(sample, fit, B, 8, workers=2)))
-        residuals = x - fit.theta_hat
         signs = np.where(np.random.default_rng(9).random((48, n)) < 0.5, -1.0, 1.0)
         yield f"solver/batch_point/{name}", _entry(lambda: estimator._solve_batch(
-            estimator._PointCoords(residuals), signs, cfg))
+            estimator._PointCoords(x - fit.theta_hat), signs, cfg))
         yield f"solver/batch_span/{name}", _entry(lambda: estimator._solve_batch(
-            estimator._SpanCoords(residuals), signs, cfg))
+            estimator._SpanCoords(x - fit.theta_hat), signs, cfg))
 
 
 def scale_entries():
@@ -258,6 +261,22 @@ def shared_entries():
         test = inference.global_test_median(sample, np.zeros(x.shape[1]), 0.05, 200, 54)
         band = inference.sci(sample, 0.9, 400, 54)
         yield f"shared/test_then_sci/{name}", _digest(json.dumps([test.to_json(), band.to_json()], sort_keys=True))
+    for name, x in (("span", inputs["span_t3_30x120"]), ("point", inputs["point_gauss_60x10"])):
+        sample = validate_sample(x)
+        theta0 = np.zeros(x.shape[1])
+        outputs = [inference.global_test_median(sample, theta0, 0.05, 200, 55).to_json(),
+                   inference.sci(sample, 0.9, 400, 55).to_json(),
+                   inference.global_test_median(sample, theta0, 0.05, 200, 56).to_json()]
+        yield f"shared/two_seeds/{name}", _digest(json.dumps(outputs, sort_keys=True))
+
+
+def outlier_entries():
+    x = np.random.default_rng(57).standard_t(3.0, (30, 200))
+    x[0] *= 1e4
+    sample = validate_sample(x)
+    yield "outlier/spatial_median/t3_30x200_row0_x1e4", _entry(lambda: _fit_parts(estimator.spatial_median(sample)))
+    yield "outlier/bootstrap_median_B200/t3_30x200_row0_x1e4", _entry(lambda: _draws_parts(
+        bootstrap.bootstrap_spatial_median(sample, estimator.spatial_median(sample), 200, 58)))
 
 
 def simdata_entries():
@@ -270,7 +289,7 @@ def simdata_entries():
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         groups = (cli_entries(work), solver_entries(), scale_entries(), highdim_entries(), shared_entries(),
-                  simdata_entries())
+                  outlier_entries(), simdata_entries())
         for group in groups:
             for label, digest in group:
                 print(f"{digest}  {label}", flush=True)
