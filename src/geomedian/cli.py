@@ -19,18 +19,17 @@ from . import __version__
 from .data import _csv_text, ar1_shape, read_csv
 from .errors import DimensionMismatch, GeomedianError
 from .estimator import gmom, spatial_median
-from .harness import _check_json_types, emit_report, run_scenario, scenario_from_json
+from .harness import emit_report, run_scenario, scenario_from_json
 from .inference import (
+    _BOOT_METHODS,
+    _TEST_METHODS,
+    _global_test,
     _require_plugin_scales,
     are_bootstrap,
     fdr_screen,
-    global_test_cq,
-    global_test_mean,
-    global_test_median,
-    global_test_wpl,
     sci,
 )
-from .simdata import T_MODE_COVARIANCE, DistributionSpec, ThetaPattern, draw, theta_vector
+from .simdata import T_MODE_COVARIANCE, DistributionSpec, ThetaPattern, _check_json_fields, draw, theta_vector
 
 
 class _UsageError(Exception):
@@ -48,7 +47,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, help_text, *, data=False, seed=False, boot=False, level=False,
-            alpha=False, method=None, null=False, blocks=False, config=False):
+            alpha=False, method=None, null=False, blocks=False, config=False, scenario=False):
         cmd = sub.add_parser(name, help=help_text)
         if data:
             cmd.add_argument("--in", dest="input", required=True, help="input CSV, one observation per row")
@@ -70,8 +69,10 @@ def _build_parser() -> _Parser:
         if config:
             cmd.add_argument("--config", required=True, help="JSON experiment description")
         cmd.add_argument(
-            "--workers", type=int, default=1,
-            help="worker threads for bootstrap batches and replications (default 1; output never depends on it)",
+            "--workers", type=int, default=None if scenario else 1,
+            help="worker threads for bootstrap batches and replications (default "
+            + ("the scenario's 'workers' field" if scenario else "1")
+            + "; output never depends on it)",
         )
         cmd.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
         return cmd
@@ -79,13 +80,13 @@ def _build_parser() -> _Parser:
     add("estimate", "fit the spatial median of a CSV sample", data=True)
     add("gmom", "geometric median-of-means of a CSV sample", data=True, seed=True, blocks=True)
     add("sci", "simultaneous confidence intervals", data=True, seed=True, boot=True, level=True,
-        method=("median", "mean"))
+        method=_BOOT_METHODS)
     add("test", "global test of a hypothesised center", data=True, seed=True, boot=True, alpha=True,
-        method=("median", "mean", "wpl", "cq"), null=True)
+        method=_TEST_METHODS, null=True)
     add("fdr", "coordinate-wise screening with FDR control", data=True, alpha=True, null=True)
     add("are", "bootstrap relative-efficiency estimate", data=True, seed=True, boot=True)
     add("generate", "draw a synthetic sample to CSV", seed=True, config=True)
-    simulate = add("simulate", "run a Monte Carlo experiment", config=True)
+    simulate = add("simulate", "run a Monte Carlo experiment", config=True, scenario=True)
     simulate.add_argument("--full-scale", action="store_true",
                           help="override desk-scale defaults with 2500 replications and B=400")
     simulate.add_argument("--timings", action="store_true",
@@ -184,16 +185,9 @@ def _cmd_test(args) -> str:
     sample = read_csv(args.input)
     theta0 = _load_theta0(args, sample.p)
     alpha = args.alpha if args.alpha is not None else 0.05
-    if args.method == "median":
+    if args.method in _BOOT_METHODS:
         _require_seed(args)
-        result = global_test_median(sample, theta0, alpha, args.boot, args.seed, workers=args.workers)
-    elif args.method == "mean":
-        _require_seed(args)
-        result = global_test_mean(sample, theta0, alpha, args.boot, args.seed, workers=args.workers)
-    elif args.method == "wpl":
-        result = global_test_wpl(sample, theta0, alpha)
-    else:
-        result = global_test_cq(sample, theta0, alpha)
+    result = _global_test(args.method, sample, theta0, alpha, args.boot, args.seed, workers=args.workers)
     row = [result.method, result.statistic, result.critical_value, result.p_value, int(result.reject)]
     return _render(args, result.to_json(), [row], ["method", "statistic", "critical_value", "p_value", "reject"])
 
@@ -222,7 +216,8 @@ def _cmd_are(args) -> str:
 def _cmd_generate(args) -> str:
     with open(args.config, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    _check_json_types(obj, "generate")
+    known = ("n", "p", "seed", "model", "rho", "df", "t_mode", "theta")
+    _check_json_fields(obj, "generate", known, required=("n", "p"))
     seed = args.seed if args.seed is not None else obj.get("seed")
     if seed is None:
         raise _UsageError("generate is stochastic: provide --seed or a 'seed' field in the config")
@@ -263,7 +258,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
+        if args.workers is not None and args.workers < 1:
             raise _UsageError("--workers must be >= 1")
         text = _COMMANDS[args.subcommand](args)
     except _UsageError as err:

@@ -7,6 +7,12 @@ from (scenario seed, replication index), data and bootstrap streams derive
 further, so methods compared "on the same sample" truly share the
 sample and reruns reproduce every statistic bit-for-bit.
 
+A replication's numbers come from the public procedures: coverage rows from
+:func:`geomedian.inference.sci`, size/power rows from the global tests, one
+call per method and level, and fdr rows from ``fdr_screen`` and ``bh_fdr``.
+The sample keeps its fit and its last bootstrap, so every level after a
+method's first re-solves nothing.
+
 Replications may run on several worker threads; results land in arrays
 indexed by replication, and aggregation is a deterministic fold over index
 order, so the worker count never affects the output.
@@ -21,22 +27,18 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bootstrap import _parallel_map, quantile
+from .bootstrap import _parallel_map
 from .data import ar1_shape
 from .errors import GeomedianError, InvalidScenario
 from .estimator import spatial_median
 from .inference import (
-    METHOD_CQ,
-    METHOD_MEAN,
-    METHOD_MEDIAN,
-    METHOD_WPL,
-    _calibrate,
+    _BOOT_METHODS,
+    _TEST_METHODS,
+    _global_test,
     _mean_t_p_values,
-    _test_result,
     bh_fdr,
     fdr_screen,
-    global_test_cq,
-    global_test_wpl,
+    sci,
 )
 from .simdata import (
     MODEL_GAUSSIAN,
@@ -44,6 +46,7 @@ from .simdata import (
     T_MODE_SCALE,
     DistributionSpec,
     ThetaPattern,
+    _check_json_fields,
     draw,
     theta_vector,
 )
@@ -78,11 +81,6 @@ COLUMNS = (
 )
 
 _UNIT = ("coverage", "size", "power", "fdr", "fdr_power")
-
-# Bootstrap-calibrated interval methods, in report order.
-_SCI_METHODS = (METHOD_MEDIAN, METHOD_MEAN)
-# Global tests calibrated by a normal cutoff instead of a bootstrap.
-_NORMAL_TESTS = {METHOD_WPL: global_test_wpl, METHOD_CQ: global_test_cq}
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,9 @@ def _run_replications(spec: ScenarioSpec, dist: DistributionSpec, n: int, key: t
 def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime: bool = False) -> MetricsTable:
     """Simultaneous-interval coverage and width, spatial-median and mean methods.
 
-    Both methods are evaluated on the same sample in every replication.
+    Both methods are evaluated on the same sample in every replication.  A
+    replication covers when every coordinate of theta lies in its :func:`sci`
+    interval; the width is ``2 * q_boot / sqrt(n)``.
     """
     if spec.experiment != EXPERIMENT_COVERAGE:
         raise InvalidScenario(f"run_coverage needs a coverage scenario, got {spec.experiment!r}")
@@ -230,19 +230,18 @@ def run_coverage(spec: ScenarioSpec, workers: int | None = None, include_runtime
     widths = np.zeros((m, n_levels, 2))
 
     def one(r, sample, seed):
-        for mi, method in enumerate(_SCI_METHODS):
-            center, draws = _calibrate(sample, method, spec.B, seed)
-            err = np.abs(center - theta).max()
+        # levels inner: the sample keeps a method's draws until the next method
+        for mi, method in enumerate(_BOOT_METHODS):
             for li, level in enumerate(spec.levels):
-                q = quantile(draws, level)
-                covered[r, li, mi] = err <= q / root_n
-                widths[r, li, mi] = 2.0 * q / root_n
+                band = sci(sample, level, spec.B, seed, method)
+                covered[r, li, mi] = ((band.lower <= theta) & (theta <= band.upper)).all()
+                widths[r, li, mi] = 2.0 * band.q_boot / root_n
 
     _run_replications(spec, dist, spec.n, (), one, workers)
     runtime = time.perf_counter() - start if include_runtime else None
     table = MetricsTable()
     for li, level in enumerate(spec.levels):
-        for mi, method in enumerate(_SCI_METHODS):
+        for mi, method in enumerate(_BOOT_METHODS):
             rate = float(covered[:, li, mi].mean())
             table.append(
                 **_row_key(spec),
@@ -270,7 +269,7 @@ def run_size_power(spec: ScenarioSpec, workers: int | None = None, include_runti
     start = time.perf_counter()
     grid = spec.kappa_grid or (0.0,)
     methods = spec.methods
-    unknown = set(methods) - {METHOD_MEDIAN, METHOD_MEAN, *_NORMAL_TESTS}
+    unknown = set(methods) - set(_TEST_METHODS)
     if unknown:
         raise InvalidScenario(f"unknown test methods {sorted(unknown)}")
     theta0 = np.zeros(spec.p)
@@ -283,12 +282,9 @@ def run_size_power(spec: ScenarioSpec, workers: int | None = None, include_runti
 
         def one(r, sample, seed, ki=ki):
             for meth in methods:
-                if meth in _NORMAL_TESTS:
-                    verdicts = [_NORMAL_TESTS[meth](sample, theta0, tau) for tau in spec.levels]
-                else:
-                    center, draws = _calibrate(sample, meth, spec.B, seed)
-                    verdicts = [_test_result(center, draws, theta0, tau, meth) for tau in spec.levels]
-                reject[meth][ki, r] = [v.reject for v in verdicts]
+                reject[meth][ki, r] = [
+                    _global_test(meth, sample, theta0, tau, spec.B, seed).reject for tau in spec.levels
+                ]
 
         _run_replications(spec, _distribution(spec, theta), spec.n, (ki,), one, workers)
 
@@ -430,38 +426,11 @@ def run_scenario(spec: ScenarioSpec, workers: int | None = None, include_runtime
     return _RUNNERS[spec.experiment](spec, workers=workers, include_runtime=include_runtime)
 
 
-# JSON types of the numeric and list fields
-_JSON_TYPES = {
-    **dict.fromkeys(("n", "p", "replications", "B", "seed", "workers"), int),
-    **dict.fromkeys(("rho", "c0"), (int, float)),
-    "df": (int, float, type(None)),
-    **dict.fromkeys(("levels", "methods"), (list, tuple)),
-    **dict.fromkeys(("kappa_grid", "p_grid", "n_grid"), (list, tuple, type(None))),
-}
-
-
-def _check_json_types(obj: dict, what: str) -> None:
-    """Raise InvalidScenario unless ``obj`` is a JSON object whose fields all
-    have a JSON type that :data:`_JSON_TYPES` allows; the error names the
-    first field that does not, and fields the table does not list pass."""
-    if not isinstance(obj, dict):
-        raise InvalidScenario(f"{what} JSON must be an object, got {obj!r}")
-    for key, value in obj.items():
-        if not isinstance(value, _JSON_TYPES.get(key, object)):
-            raise InvalidScenario(f"{what} field {key!r} has the wrong JSON type: {value!r}")
-
-
 def scenario_from_json(obj: dict) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from its JSON object form."""
-    if "experiment" not in obj:
-        raise InvalidScenario("scenario JSON needs an 'experiment' field")
-    if "seed" not in obj:
-        raise InvalidScenario("scenario JSON needs a 'seed' field (no silent entropy)")
-    known = {f.name for f in fields(ScenarioSpec)}
-    unknown = set(obj) - known
-    if unknown:
-        raise InvalidScenario(f"unknown scenario fields {sorted(unknown)}")
-    _check_json_types(obj, "scenario")
+    # a scenario names its seed: no silent entropy
+    required = ("experiment", "seed")
+    _check_json_fields(obj, "scenario", [f.name for f in fields(ScenarioSpec)], required)
     kwargs = {
         key: tuple(value) if isinstance(value, list) else value for key, value in obj.items() if key != "theta"
     }

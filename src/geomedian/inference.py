@@ -37,6 +37,9 @@ METHOD_MEDIAN = "median"
 METHOD_MEAN = "mean"
 METHOD_WPL = "wpl"
 METHOD_CQ = "cq"
+# Bootstrap-calibrated methods, then all global tests (method m's is global_test_<m>)
+_BOOT_METHODS = (METHOD_MEDIAN, METHOD_MEAN)
+_TEST_METHODS = (*_BOOT_METHODS, METHOD_WPL, METHOD_CQ)
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -125,7 +128,7 @@ def _calibrate(
     """Fit the method's center and draw its matching multiplier bootstrap.
 
     The one fit-and-draws step behind the intervals, the max-norm tests and
-    the Monte Carlo harness.  A sample whose rows are all equal raises
+    the efficiency ratio.  A sample whose rows are all equal raises
     DegenerateSample: every replicate would be 0, giving zero-width intervals
     and a zero critical value.
     """
@@ -154,27 +157,6 @@ def _positive_quantile(draws: BootstrapDraws, level: float) -> float:
     return q
 
 
-def _sci_result(center: np.ndarray, draws: BootstrapDraws, level: float, method: str) -> SciResult:
-    q = _positive_quantile(draws, level)
-    half = q / np.sqrt(draws.n_obs)
-    return SciResult(lower=center - half, upper=center + half, level=level, q_boot=q, method=method)
-
-
-def _test_result(
-    center: np.ndarray, draws: BootstrapDraws, theta0: np.ndarray, level: float, method: str
-) -> GlobalTestResult:
-    statistic = float(np.sqrt(draws.n_obs) * np.abs(center - theta0).max())
-    critical = _positive_quantile(draws, 1.0 - level)
-    p_value = float((1 + int((draws.stats >= statistic).sum())) / (draws.B + 1))
-    return GlobalTestResult(
-        statistic=statistic,
-        critical_value=critical,
-        p_value=p_value,
-        reject=statistic > critical,
-        method=method,
-    )
-
-
 def sci(
     sample: Sample,
     level: float,
@@ -191,7 +173,26 @@ def sci(
     """
     _check_level(level)
     center, draws = _calibrate(sample, method, B, seed, workers)
-    return _sci_result(center, draws, level, method)
+    q = _positive_quantile(draws, level)
+    half = q / np.sqrt(draws.n_obs)
+    return SciResult(lower=center - half, upper=center + half, level=level, q_boot=q, method=method)
+
+
+def _max_norm_test(sample, theta0, level, B, seed, workers, method) -> GlobalTestResult:
+    """The max-norm test behind :func:`global_test_median` and :func:`global_test_mean`."""
+    _check_level(level)
+    theta0 = _check_theta0(theta0, sample.p)
+    center, draws = _calibrate(sample, method, B, seed, workers)
+    statistic = float(np.sqrt(draws.n_obs) * np.abs(center - theta0).max())
+    critical = _positive_quantile(draws, 1.0 - level)
+    p_value = float((1 + int((draws.stats >= statistic).sum())) / (draws.B + 1))
+    return GlobalTestResult(
+        statistic=statistic,
+        critical_value=critical,
+        p_value=p_value,
+        reject=statistic > critical,
+        method=method,
+    )
 
 
 def global_test_median(
@@ -207,10 +208,7 @@ def global_test_median(
     ``level`` is the significance level; the critical value is the
     ``1 - level`` quantile of the bootstrap replicates.
     """
-    _check_level(level)
-    theta0 = _check_theta0(theta0, sample.p)
-    center, draws = _calibrate(sample, METHOD_MEDIAN, B, seed, workers)
-    return _test_result(center, draws, theta0, level, METHOD_MEDIAN)
+    return _max_norm_test(sample, theta0, level, B, seed, workers, METHOD_MEDIAN)
 
 
 def global_test_mean(
@@ -222,10 +220,7 @@ def global_test_mean(
     workers: int = 1,
 ) -> GlobalTestResult:
     """Max-norm test of a hypothesised center, sample-mean version."""
-    _check_level(level)
-    theta0 = _check_theta0(theta0, sample.p)
-    center, draws = _calibrate(sample, METHOD_MEAN, B, seed, workers)
-    return _test_result(center, draws, theta0, level, METHOD_MEAN)
+    return _max_norm_test(sample, theta0, level, B, seed, workers, METHOD_MEAN)
 
 
 def global_test_wpl(sample: Sample, theta0, level: float = 0.05) -> GlobalTestResult:
@@ -263,6 +258,21 @@ def global_test_cq(sample: Sample, theta0, level: float = 0.05) -> GlobalTestRes
     trace_sq_hat = float(pair_sq) / (n * (n - 1))
     sd = float(np.sqrt(2.0 * n * (n - 1) * trace_sq_hat))
     return _normal_calibrated(statistic, sd, level, METHOD_CQ)
+
+
+def _global_test(method, sample, theta0, level, B, seed, workers=1) -> GlobalTestResult:
+    """Run ``global_test_<method>``: the one dispatch of the CLI and the harness.
+
+    B, seed and workers reach only the bootstrap-calibrated tests.  The test
+    is looked up by its module-level name on every call, so a wrapper
+    installed on the module sees the call.
+    """
+    if method not in _TEST_METHODS:
+        raise InvalidScenario(f"unknown test method {method!r}, expected one of {list(_TEST_METHODS)}")
+    test = globals()[f"global_test_{method}"]
+    if method in _BOOT_METHODS:
+        return test(sample, theta0, level, B, seed, workers)
+    return test(sample, theta0, level)
 
 
 def _pair_moments(rows: np.ndarray) -> tuple[float, float]:

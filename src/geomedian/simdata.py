@@ -14,7 +14,7 @@ reshuffling it.  (The rotation by a non-identity shape root is one matrix
 product, whose last-bit rounding can depend on n at larger p.)
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,12 +129,37 @@ class ThetaPattern:
     @classmethod
     def from_json(cls, obj: dict) -> "ThetaPattern":
         """Build a pattern from its JSON object form; absent fields take the defaults."""
-        if not isinstance(obj, dict):
-            raise InvalidScenario(f"theta must be a JSON object, got {obj!r}")
-        knobs = {key: obj[key] for key in ("kappa", "c0", "scale") if key in obj}
-        if not all(isinstance(value, (int, float)) for value in knobs.values()):
-            raise InvalidScenario(f"theta's kappa, c0 and scale must be numbers, got {knobs!r}")
-        return cls(kind=obj.get("kind", PATTERN_ZERO), **{key: float(value) for key, value in knobs.items()})
+        _check_json_fields(obj, "theta", [f.name for f in fields(cls)])
+        knobs = {key: float(value) for key, value in obj.items() if key != "kind"}
+        return cls(kind=obj.get("kind", PATTERN_ZERO), **knobs)
+
+
+# JSON types of the numeric and list fields of scenario, generate and theta
+# objects; a field the table does not list may hold any JSON value
+_JSON_TYPES = {
+    **dict.fromkeys(("n", "p", "replications", "B", "seed", "workers"), int),
+    **dict.fromkeys(("rho", "c0", "kappa", "scale"), (int, float)),
+    "df": (int, float, type(None)),
+    **dict.fromkeys(("levels", "methods"), (list, tuple)),
+    **dict.fromkeys(("kappa_grid", "p_grid", "n_grid"), (list, tuple, type(None))),
+}
+
+
+def _check_json_fields(obj: dict, what: str, known, required=()) -> None:
+    """Raise InvalidScenario unless ``obj`` is a JSON object that has every
+    ``required`` field and whose fields are all ``known`` and have a JSON type
+    that :data:`_JSON_TYPES` allows; the error names the field at fault."""
+    if not isinstance(obj, dict):
+        raise InvalidScenario(f"{what} JSON must be an object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise InvalidScenario(f"{what} JSON needs a field {key!r}")
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise InvalidScenario(f"unknown {what} fields {sorted(unknown)}")
+    for key, value in obj.items():
+        if not isinstance(value, _JSON_TYPES.get(key, object)):
+            raise InvalidScenario(f"{what} field {key!r} has the wrong JSON type: {value!r}")
 
 
 def theta_vector(pattern: ThetaPattern, p: int, n: int) -> np.ndarray:

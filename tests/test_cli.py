@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import geomedian
-from geomedian import read_csv, write_csv
+from geomedian import harness, read_csv, write_csv
 from geomedian.cli import main
 
 
@@ -303,6 +303,28 @@ def test_simulate_end_to_end(tmp_path, capsys):
     assert all(isinstance(row["runtime_seconds"], float) and row["runtime_seconds"] > 0 for row in timed)
 
 
+def test_simulate_workers_flag_wins_else_the_scenario_applies(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "experiment": "coverage", "n": 12, "p": 3, "replications": 2, "B": 20, "seed": 4, "workers": 3,
+    }))
+    seen = []
+    real = harness._parallel_map
+
+    def spy(func, items, workers):
+        seen.append(workers)
+        return real(func, items, workers)
+
+    monkeypatch.setattr(harness, "_parallel_map", spy)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["simulate", "--config", str(config), "--workers", "2"]) == 0
+    capsys.readouterr()
+    assert seen == [3, 2]
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "(default the scenario's 'workers' field;" in " ".join(capsys.readouterr().out.split())
+
+
 def test_simulate_error_reports_its_own_type(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
@@ -355,6 +377,25 @@ def test_generate_config_must_be_a_json_object(tmp_path, capsys):
     assert main(["generate", "--config", str(config), "--seed", "1"]) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "InvalidScenario", "message": "generate JSON must be an object, got [1, 2]"}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"p": 2}, "generate JSON needs a field 'n'"),
+        ({"n": 4}, "generate JSON needs a field 'p'"),
+        ({"n": 4, "p": 2, "rh0": 0.5, "modle": "laplace"}, "unknown generate fields ['modle', 'rh0']"),
+        ({"n": 4, "p": 20, "theta": {"kind": "log_sparse", "kapa": 2}}, "unknown theta fields ['kapa']"),
+    ],
+    ids=["missing_n", "missing_p", "misspelt_fields", "misspelt_theta_field"],
+)
+def test_generate_config_fields_are_checked(tmp_path, capsys, fields, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(fields, seed=1)))
+    assert main(["generate", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "InvalidScenario", "message": message}
 
 
 def test_markdown_format_tabulates_the_json_payload(tmp_path, capsys):

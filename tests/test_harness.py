@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from geomedian import (
     draw,
     emit_report,
     fdr_screen,
+    global_test_cq,
     global_test_mean,
     global_test_median,
+    global_test_wpl,
     run_are,
     run_coverage,
     run_fdr,
@@ -27,10 +30,10 @@ from geomedian import (
     sci,
     theta_vector,
 )
-from geomedian import harness
-from geomedian.errors import DidNotConverge, InvalidScenario
+from geomedian import bootstrap, harness, inference
+from geomedian.errors import DegenerateSample, DidNotConverge, InvalidScenario
 from geomedian.harness import COLUMNS
-from geomedian.streams import NS_HARNESS
+from geomedian.streams import NS_BOOT_MEAN, NS_BOOT_MEDIAN, NS_HARNESS
 
 
 def _coverage_spec(**kw):
@@ -92,18 +95,50 @@ def test_harness_agrees_with_the_inference_api():
         assert row["coverage"] == float(inside)
 
     spec = ScenarioSpec(experiment="size_power", n=n, p=p, replications=1, B=B,
-                        levels=(0.05, 0.2), seed=seed, methods=("median", "mean"),
+                        levels=(0.05, 0.2), seed=seed, methods=("median", "mean", "wpl", "cq"),
                         # rejections at these strengths differ by method and level
                         kappa_grid=(0.0, 1.0, 1.5), c0=1.0)
     rows = run_size_power(spec).rows
-    tests = {"median": global_test_median, "mean": global_test_mean}
+    assert len(rows) == 3 * 2 * 4
+    tests = {"median": global_test_median, "mean": global_test_mean, "wpl": global_test_wpl, "cq": global_test_cq}
     for ki, kappa in enumerate(spec.kappa_grid):
         theta = theta_vector(ThetaPattern("log_sparse", kappa=kappa, c0=1.0), p, n)
         rep_seed = child_seed(seed, NS_HARNESS, ki, 0)
         sample = draw(DistributionSpec("gaussian", theta, ar1_shape(p, 0.0)), n, rep_seed)
         for row in (r for r in rows if r["kappa"] == kappa):
-            verdict = tests[row["method"]](sample, np.zeros(p), row["level"], B, rep_seed)
+            boot = (B, rep_seed) if row["method"] in ("median", "mean") else ()
+            verdict = tests[row["method"]](sample, np.zeros(p), row["level"], *boot)
             assert (row["size"] if kappa == 0.0 else row["power"]) == float(verdict.reject)
+
+
+def test_coverage_solves_one_bootstrap_per_method_and_replication(monkeypatch):
+    # every level after the first reuses the draws the sample keeps, so two
+    # levels still sign one median and one mean bootstrap per replication
+    # (B = 40 is one batch, so one rademacher call per bootstrap)
+    namespaces = []
+    real = bootstrap.rademacher
+
+    def spy(seed, namespace, *rest):
+        namespaces.append(namespace)
+        return real(seed, namespace, *rest)
+
+    monkeypatch.setattr(bootstrap, "rademacher", spy)
+    run_coverage(_coverage_spec(replications=3, levels=(0.8, 0.95)))
+    assert sorted(namespaces) == sorted([NS_BOOT_MEDIAN] * 3 + [NS_BOOT_MEAN] * 3)
+
+
+def test_zero_replicate_quantile_is_degenerate_in_the_harness(monkeypatch):
+    # the harness takes its bands from sci, so a zero quantile raises as sci
+    # does instead of recording a zero-width band that covers nothing
+    monkeypatch.setattr(inference, "quantile", lambda draws, level: 0.0)
+    with pytest.raises(DegenerateSample, match="replication 0: the 0.9 bootstrap quantile is 0"):
+        run_coverage(_coverage_spec())
+
+
+def test_size_power_rejects_unknown_test_methods():
+    spec = ScenarioSpec(experiment="size_power", n=10, p=3, replications=1, seed=1, methods=("median", "t2"))
+    with pytest.raises(InvalidScenario, match=re.escape("unknown test methods ['t2']")):
+        run_size_power(spec)
 
 
 def test_fdr_harness_agrees_with_the_inference_api():
@@ -290,6 +325,13 @@ def test_scenario_from_json_requires_seed_and_rejects_unknown():
         scenario_from_json({"experiment": "coverage", "seed": 1, "bogus": 2})
     with pytest.raises(InvalidScenario):
         scenario_from_json({"seed": 1})
+
+
+def test_scenario_theta_rejects_unknown_fields():
+    # a misspelt kappa must not fall back to kappa = 0, which turns a power run into a size run
+    obj = {"experiment": "size_power", "seed": 1, "theta": {"kind": "log_sparse", "kapa": 2}}
+    with pytest.raises(InvalidScenario, match=re.escape("unknown theta fields ['kapa']")):
+        scenario_from_json(obj)
 
 
 def test_scenario_validation():

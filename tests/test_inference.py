@@ -471,6 +471,26 @@ def test_bad_procedure_arguments_are_typed_errors(call, error):
         call(sample)
 
 
+def test_global_test_dispatch_looks_each_test_up_by_name(monkeypatch):
+    # the dispatch must call whatever the module holds under the test's name
+    # (a tracer's wrapper, say), with B, seed and workers for bootstrap tests only
+    sample = validate_sample(np.random.default_rng(29).standard_normal((10, 3)))
+    seen = []
+    for method in inference._TEST_METHODS:
+        real = getattr(inference, f"global_test_{method}")
+
+        def spy(*args, real=real, method=method):
+            seen.append((method, len(args)))
+            return real(*args)
+
+        monkeypatch.setattr(inference, f"global_test_{method}", spy)
+    for method in inference._TEST_METHODS:
+        assert inference._global_test(method, sample, np.zeros(3), 0.1, 50, 4).method == method
+    assert seen == [("median", 6), ("mean", 6), ("wpl", 3), ("cq", 3)]
+    with pytest.raises(InvalidScenario, match="unknown test method 'trimmed'"):
+        inference._global_test("trimmed", sample, np.zeros(3), 0.1, 50, 4)
+
+
 def test_are_analytic_rejects_bad_df():
     # nan and inf would otherwise return nan silently
     for df in (2.0, np.nan, np.inf):

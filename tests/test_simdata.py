@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -163,6 +165,19 @@ def test_theta_patterns():
         theta_vector(ThetaPattern("dense_quarter"), 8, 100), [0.2, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     )
     assert_allclose(theta_vector(ThetaPattern("zero"), 4, 10), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "log_sparse", "kapa": 2}, "unknown theta fields ['kapa']"),
+        ({"kind": "ten_percent", "scale": "2"}, "theta field 'scale' has the wrong JSON type: '2'"),
+        ([2.0], "theta JSON must be an object, got [2.0]"),
+    ],
+)
+def test_theta_pattern_from_json_checks_its_fields(obj, message):
+    with pytest.raises(InvalidScenario, match=re.escape(message)):
+        ThetaPattern.from_json(obj)
 
 
 def test_log_sparse_pattern_counts_and_magnitude():
