@@ -8,6 +8,7 @@ it is normalized so that its trace equals the dimension.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class Sample:
     later one, at any seed, skips the build.  The price is one n x p copy
     of the residuals per sample bootstrapped with its own fit, kept as long
     as the sample (with its transpose when p <= n).
+
+    ``_rows_equal`` (whether every row equals the first, which makes the
+    bootstrap law a point mass) is decided on first use and kept likewise.
     """
 
     values: np.ndarray
@@ -52,6 +56,12 @@ class Sample:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _rows_equal(self) -> bool:
+        """Whether every row equals the first: an n x p comparison, made once
+        per sample (bootstrap calibration asks on every call)."""
+        return bool((self.values == self.values[0]).all())
 
     @property
     def p(self) -> int:

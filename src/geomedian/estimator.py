@@ -38,8 +38,16 @@ and an iteration costs O(n^2) per row instead of O(n p).  Both share one
 update rule; vertex checks and the Newton finish always work on points of
 R^p.  A bootstrap asks only for each row's max|beta|, which the span
 representation takes slab by slab from the mapping to R^p.
+
+A solve's batch-sized arrays (sign slabs, iterates, residuals, products and
+the gathers of the running slabs) are views of the thread's workspace
+(``_Workspace``): one flat buffer per role, grown to the largest solve seen
+on that thread and kept for the next, so back-to-back solves reuse the same
+pages instead of freeing them and faulting them back in.  Results are
+copied out of it; a pool thread's workspace goes with the thread.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,6 +95,32 @@ class SolverConfig:
 # Every spatial-median fit and median-of-means solves to the defaults.
 _FIT_CONFIG = SolverConfig()
 _MEMO_LOCK = threading.Lock()
+
+
+class _Workspace(threading.local):
+    """One thread's solve arrays, kept from one solve to the next.
+
+    Each role owns one flat float64 buffer, grown to the largest request
+    seen on the thread, and hands out views of its first elements.  Freed
+    arrays would let the allocator trim the heap, and the next solve fault
+    them back in.  Views hold stale values, so a caller zeroes what it
+    relies on; no view outlives the call that took it, and one thread runs
+    one solve at a time, so each role has one user.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, role, shape):
+        """A float64 view of ``shape`` on the role's buffer, contents stale."""
+        size = math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -150,11 +184,16 @@ def _slabs(rows, product_rows, first=0):
     depend only on its slot: not on the values of the other rows, nor on how
     many slabs there are (BLAS picks its kernel, blocking and threads by
     shape, and some kernels also by the row's place in the slab).
+
+    The layout is the thread's workspace ``signs`` view, valid until the
+    thread's next ``_slabs``.
     """
     count, width = rows.shape
     lead = first % product_rows
-    laid = np.zeros((-(-(lead + count) // product_rows) * product_rows, width))
+    laid = _WORKSPACE.take("signs", (-(-(lead + count) // product_rows) * product_rows, width))
+    laid[:lead] = 0.0
     laid[lead : lead + count] = rows
+    laid[lead + count :] = 0.0
     return laid, lead
 
 
@@ -184,20 +223,21 @@ class _PointCoords:
         points_t.flags.writeable = False
         return points_t
 
-    def project(self, coef):
-        """Inner products <beta_b, x_i> and squared norms ||beta_b||^2."""
+    def project(self, coef, out=None):
+        """Inner products <beta_b, x_i> (into ``out``) and squared norms ||beta_b||^2."""
         right = self.points.T if coef.shape[-2] == 1 else self.points_t
-        return coef @ right, np.einsum("...j,...j->...", coef, coef)
+        return np.matmul(coef, right, out=out), np.einsum("...j,...j->...", coef, coef)
 
-    def combine(self, weights):
-        """sum_i weights[b, i] * x_i for every row b."""
-        return weights @ self.points
+    def combine(self, weights, out=None):
+        """sum_i weights[b, i] * x_i for every row b, into ``out``."""
+        return np.matmul(weights, self.points, out=out)
 
     def norm(self, coef):
         return np.sqrt(np.einsum("...j,...j->...", coef, coef))
 
     def to_points(self, coef):
-        return coef
+        """A new array of the points beta_b (never ``coef`` itself)."""
+        return coef.copy()
 
     def peaks(self, coef):
         """max|beta_b| of every row b, as max|to_points(coef)| along its rows."""
@@ -226,17 +266,18 @@ class _SpanCoords:
         self.width = points.shape[0]
         points.flags.writeable = self.gram.flags.writeable = self.sq_norms.flags.writeable = False
 
-    def project(self, coef):
+    def project(self, coef, out=None):
         """As :meth:`_PointCoords.project`, with beta_b = coef[b] @ points."""
-        prod = coef @ self.gram
+        prod = np.matmul(coef, self.gram, out=out)
         # G is only positive semi-definite to rounding; clamp the forms
         return prod, np.maximum(np.einsum("...j,...j->...", coef, prod), 0.0)
 
-    def combine(self, weights):
+    def combine(self, weights, out=None):
+        """The weights are the coefficients of the combination; ``out`` is unused."""
         return weights
 
     def norm(self, coef):
-        return np.sqrt(self.project(coef)[1])
+        return np.sqrt(self.project(coef, out=_WORKSPACE.take("norm", coef.shape))[1])
 
     def to_points(self, coef):
         return coef @ self.points
@@ -247,7 +288,7 @@ class _SpanCoords:
         ``to_points`` runs on it, into one buffer, and is reduced while it
         is in cache."""
         out = np.empty(coef.shape[:-1])
-        slab = np.empty((coef.shape[-2], self.points.shape[1]))
+        slab = _WORKSPACE.take("peaks", (coef.shape[-2], self.points.shape[1]))
         for s, rows in enumerate(coef):
             np.matmul(rows, self.points, out=slab)
             out[s] = _max_abs(slab)
@@ -365,6 +406,10 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
     rest of the sweep works on views of the batch's rows; after that it
     gathers the running slabs, steps all their rows and keeps the steps of
     the active ones.
+
+    The batch-sized arrays are views of the thread's workspace; what the
+    solve returns is its own, so a result outlives later solves.  Having no
+    second set of buffers, the solve is not re-entrant on one thread.
     """
     points = coords.points
     sq_norms = coords.sq_norms
@@ -373,7 +418,9 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
     rows = config.product_rows
     signs, lead = _slabs(signs, rows, first)
     total = signs.shape[0]
-    beta = np.zeros((total, coords.width))
+    width = coords.width
+    beta = _WORKSPACE.take("beta", (total, width))
+    beta[...] = 0.0  # the origin start, and padding rows that stay 0
     eps_anchor = config.anchor_eps
     grad_bound = n * config.grad_tol
 
@@ -383,14 +430,20 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
     active[lead : lead + m] = True
     polished = {}  # row -> center in R^p, set by the Newton finish
 
-    width = coords.width
     batch = slice(lead, lead + m)
     batch_rows = np.arange(lead, lead + m)
-    # residuals laid out for the norm's products; padding rows stay 0
-    padded = np.zeros((total, width))
+    # residuals laid out for the norm's products; padding rows stay 0, so
+    # those products never see another solve's values
+    padded = _WORKSPACE.take("padded", (total, width))
+    padded[:lead] = 0.0
+    padded[lead + m :] = 0.0
 
     def stacked(laid):
         return laid.reshape(-1, rows, laid.shape[1])
+
+    def gather(role, source, idx):
+        # mode="clip" writes straight into out (mode="raise" buffers)
+        return np.take(source, idx, axis=0, mode="clip", out=_WORKSPACE.take(role, (idx.size, source.shape[1])))
 
     for t in range(1, config.max_iter + 1):
         if t % 256 == 0:
@@ -417,9 +470,10 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
         else:
             # the rows of the running slabs, padding and stopped rows included
             idx, own = np.nonzero(np.repeat(running, rows))[0], slice(None)
-            za, laid = signs[idx], beta[idx]
-            ba, resid, live = laid, np.zeros_like(laid), active[idx]
-        prod, sq = coords.project(stacked(laid))
+            za, laid = gather("running_signs", signs, idx), gather("running_beta", beta, idx)
+            # every row of resid is written before it is read
+            ba, resid, live = laid, _WORKSPACE.take("running_resid", laid.shape), active[idx]
+        prod, sq = coords.project(stacked(laid), out=_WORKSPACE.take("project", (laid.shape[0] // rows, rows, n)))
         buf = prod.reshape(-1, n)  # zero rows project to 0, so padding rows stay 0
         prod, sq = buf[own], sq.reshape(-1)[own]
         # dist = sqrt(max(sq_norms - 2 z prod + sq, 0)), built in prod's buffer
@@ -453,7 +507,8 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
             eta = coincide.sum(axis=1).astype(np.float64)
         denom = weights.sum(axis=1)
         weights *= za
-        numer = coords.combine(stacked(buf)).reshape(-1, width)[own]
+        numer = coords.combine(stacked(buf), out=_WORKSPACE.take("combine", (buf.shape[0] // rows, rows, width)))
+        numer = numer.reshape(-1, width)[own]
         np.multiply(ba, denom[:, None], out=resid[own])
         np.subtract(numer, resid[own], out=resid[own])
         resid_norm = coords.norm(stacked(resid)).reshape(-1)[own]

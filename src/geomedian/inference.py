@@ -134,7 +134,7 @@ def _calibrate(
     """
     if sample.n < 2:
         raise InvalidScenario("need n >= 2 observations for bootstrap calibration")
-    if (sample.values == sample.values[0]).all():
+    if sample._rows_equal:
         raise DegenerateSample("every observation is identical: the bootstrap law is a point mass at 0")
     if method == METHOD_MEDIAN:
         fit = spatial_median(sample)

@@ -28,8 +28,12 @@ NS_BLOCKS = 3        # block partitioning for median-of-means
 NS_HARNESS = 4       # per-replication seed derivation in the simulation harness
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> "np.random.Generator":
     """Return an independent generator keyed by ``(seed, *path)``.
+
+    The annotation is a string so that importing this module does not load
+    ``numpy.random`` (and the ``secrets``/``hmac`` it imports); the first call
+    does.
 
     Identical arguments always yield an identical stream, on every platform
     and regardless of how many other substreams are in use.

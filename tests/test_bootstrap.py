@@ -306,13 +306,13 @@ def test_solve_batch_takes_every_sweep_branch(monkeypatch, coords):
     sweeps, snaps = [], []
     combine, vertex = coords.combine, coords.vertex
 
-    def combine_spy(self, weights):
+    def combine_spy(self, weights, out=None):
         # one call per sweep, on a stack of one-row slabs; a zero weight
         # marks an anchored point, so that row takes a Vardi-Zhang step with
         # lambda > 0
         rows = weights.reshape(-1, weights.shape[-1])
         sweeps.append((rows.shape[0], int((rows == 0).any(axis=1).sum())))
-        return combine(self, weights)
+        return combine(self, weights, out=out)
 
     def vertex_spy(self, k, sign):
         snaps.append(len(sweeps))
@@ -640,3 +640,71 @@ def test_statistics_are_max_norms_of_the_solved_centres(monkeypatch, inputs, pol
     coords = (_SpanCoords if sample.p > sample.n else _PointCoords)(sample.values - fit.theta_hat)
     centres, _, _ = _solve_batch(coords, signs, _REPLICATE_CONFIG)
     assert np.array_equal(draws.stats, np.sqrt(sample.n) * np.abs(centres).max(axis=1))
+
+
+def _workspace_buffers():
+    # the arrays the thread's solver workspace holds (none without one)
+    workspace = getattr(estimator, "_WORKSPACE", None)
+    return list(workspace.buffers.values()) if workspace is not None else []
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (20, 60)], ids=["point", "span"])
+def test_results_share_no_memory_with_the_solver_workspace(shape):
+    # the thread's workspace buffers are reused by every later solve: a fit,
+    # stored draws and memoised coordinates hold arrays of their own, and
+    # keep their bytes through later solves of other shapes
+    sample = validate_sample(np.random.default_rng(71).standard_t(3.0, shape))
+    fit = spatial_median(sample)
+    draws = bootstrap_spatial_median(sample, fit, 40, seed=72)
+    coords = sample._coords
+    kept = [fit.theta_hat, fit.b_diag_hat, draws.stats, sample._draws[1], coords.points, coords.sq_norms]
+    kept += [coords.gram] if isinstance(coords, _SpanCoords) else [coords.points_t]
+    assert not any(np.shares_memory(array, buf) for array in kept for buf in _workspace_buffers())
+
+    before = [array.copy() for array in kept]
+    for other in [(30, 12), (12, 90), (1, 5)]:
+        x = np.random.default_rng(73).standard_normal(other)
+        spatial_median(validate_sample(x))
+        signs = rademacher(74, NS_BOOT_MEDIAN, 0, 70, other[0])
+        _solve_batch(_PointCoords(x.copy()), signs, _REPLICATE_CONFIG)
+        _solve_batch(_SpanCoords(x.copy()), signs, _REPLICATE_CONFIG, peaks=True)
+    for array, copy in zip(kept, before):
+        assert np.array_equal(array, copy)
+    assert not any(np.shares_memory(array, buf) for array in kept for buf in _workspace_buffers())
+
+
+def test_solves_on_one_thread_equal_solves_on_fresh_threads():
+    # one thread runs solves of three shapes back to back, so each finds the
+    # workspace holding another solve's stale values; each must give the
+    # bits of the same solve on a thread whose workspace is new
+    rng = np.random.default_rng(75)
+    point_x, span_x = rng.standard_t(3.0, (100, 10)), rng.standard_t(3.0, (30, 200))
+
+    def fit():
+        fit = spatial_median(validate_sample(point_x[:40]))
+        return fit.theta_hat, fit.iterations
+
+    def point_bootstrap():
+        sample = validate_sample(point_x)
+        return (bootstrap_spatial_median(sample, spatial_median(sample), 200, seed=76).stats,)
+
+    def span_bootstrap():
+        sample = validate_sample(span_x)
+        return (bootstrap_spatial_median(sample, spatial_median(sample), 64, seed=77).stats,)
+
+    def centres():
+        signs = rademacher(78, NS_BOOT_MEDIAN, 5, 37, 40)
+        return _solve_batch(_PointCoords(point_x[:40] - point_x[:40].mean(axis=0)), signs, _REPLICATE_CONFIG, 5)
+
+    # results are compared after every job has run, so one that aliased the
+    # workspace would show the later solves' values
+    jobs = [fit, centres, point_bootstrap, span_bootstrap, point_bootstrap, fit]
+    here = [job() for job in jobs]
+    for job, got in zip(jobs, here):
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(job()))
+        thread.start()
+        thread.join()
+        assert len(fresh) == 1
+        for mine, theirs in zip(got, fresh[0]):
+            assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), job.__name__

@@ -93,13 +93,15 @@ def test_cli_import_loads_no_scipy():
 
 def test_cold_estimate_imports_neither_numpy_ma_nor_concurrent_futures(tmp_path):
     # a fresh interpreter fits once: the centring median must not pull in
-    # numpy.ma, and with one worker no thread pool (nor its logging) loads
+    # numpy.ma, and with one worker no thread pool (nor its logging) loads;
+    # a fit draws no random numbers, so numpy.random (with secrets and hmac)
+    # must not load either
     data = _write_sample(tmp_path, n=12, p=5)
     env = dict(os.environ, PYTHONPATH=str(Path(geomedian.__file__).parents[1]))
     probe = (
         "import sys; from geomedian.cli import main; "
         f"code = main(['estimate', '--in', {data!r}, '--out', {str(tmp_path / 'fit.json')!r}]); "
-        "print(code, sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))"
+        "print(code, sorted(m for m in ('numpy.ma', 'concurrent.futures', 'numpy.random') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

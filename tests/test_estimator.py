@@ -88,11 +88,11 @@ def test_objective_monotone_across_iterations(monkeypatch):
     iterates = []
     project = _PointCoords.project
 
-    def spy(self, coef):
+    def spy(self, coef, out=None):
         # one call per sweep, on the iterate the sweep starts from, in the
         # coordinates' own centred, normalised points
         iterates.append((self.points, coef[0].copy()))
-        return project(self, coef)
+        return project(self, coef, out=out)
 
     monkeypatch.setattr(_PointCoords, "project", spy)
     _fit_center(points, SolverConfig())

@@ -52,6 +52,20 @@ def test_sci_constant_sample_is_degenerate():
             sci(sample, 0.9, 100, seed=1, method=method)
 
 
+def test_sci_compares_the_rows_once_per_sample():
+    # the n x p "every row equal" comparison runs on the first call only: rows
+    # made equal behind the sample's back afterwards go unseen by a second
+    # sci, which returns the first call's band from the sample's memos
+    sample = validate_sample(np.random.default_rng(4).standard_normal((20, 3)))
+    first = sci(sample, 0.9, 100, seed=1)
+    assert vars(sample)["_rows_equal"] is False
+    sample.values.flags.writeable = True
+    sample.values[:] = sample.values[0]
+    second = sci(sample, 0.9, 100, seed=1)
+    assert_array_equal(second.lower, first.lower)
+    assert_array_equal(second.upper, first.upper)
+
+
 def test_sci_constant_width_and_level_check():
     rng = np.random.default_rng(2)
     sample = validate_sample(rng.standard_normal((20, 3)))

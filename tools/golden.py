@@ -7,6 +7,14 @@ script on both commits, on one machine, and diffing the two listings:
     (in a checkout of the parent commit) python tools/golden.py > parent.txt
     diff parent.txt change.txt
 
+Group names (cli, solver, scale, highdim, shared, outlier, simdata) as
+arguments print only those groups, in the order given.  Running each group
+in its own process and concatenating the listings must reproduce the
+one-process listing: an entry whose digest depends on state an earlier call
+left behind (a solver workspace, a sample memo) fails that check.
+
+    for g in cli solver scale highdim shared outlier simdata; do python tools/golden.py $g; done
+
 The script imports geomedian from the ``src/`` next to it, so each checkout
 measures its own code.  Digests depend on the machine, numpy and the BLAS
 build, so none are recorded; only the diff between two runs means anything.
@@ -131,24 +139,25 @@ def _entry(func) -> str:
         return _digest(type(exc).__name__, str(exc))
 
 
-def cli_entries(work):
-    for name, config in CLI_INPUTS.items():
-        config_path = os.path.join(work, f"{name}.json")
-        data_path = os.path.join(work, f"{name}.csv")
-        with open(config_path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
-        code, out, err = _cli(["generate", "--config", config_path, "--out", data_path])
-        with open(data_path, "rb") as fh:
-            yield f"cli/generate/{name}", _digest(code, out, err, fh.read())
-        for label, args in CLI_COMMANDS.items():
-            yield f"cli/{label}/{name}", _digest(*_cli(args + ["--in", data_path, "--workers", WORKERS]))
-    for name, scenario in SCENARIOS.items():
-        config_path = os.path.join(work, f"scenario_{name}.json")
-        with open(config_path, "w", encoding="utf-8") as fh:
-            json.dump(scenario, fh)
-        for fmt in ("csv", "json"):
-            argv = ["simulate", "--config", config_path, "--format", fmt, "--workers", WORKERS]
-            yield f"cli/simulate_{fmt}/{name}", _digest(*_cli(argv))
+def cli_entries():
+    with tempfile.TemporaryDirectory() as work:
+        for name, config in CLI_INPUTS.items():
+            config_path = os.path.join(work, f"{name}.json")
+            data_path = os.path.join(work, f"{name}.csv")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            code, out, err = _cli(["generate", "--config", config_path, "--out", data_path])
+            with open(data_path, "rb") as fh:
+                yield f"cli/generate/{name}", _digest(code, out, err, fh.read())
+            for label, args in CLI_COMMANDS.items():
+                yield f"cli/{label}/{name}", _digest(*_cli(args + ["--in", data_path, "--workers", WORKERS]))
+        for name, scenario in SCENARIOS.items():
+            config_path = os.path.join(work, f"scenario_{name}.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(scenario, fh)
+            for fmt in ("csv", "json"):
+                argv = ["simulate", "--config", config_path, "--format", fmt, "--workers", WORKERS]
+                yield f"cli/simulate_{fmt}/{name}", _digest(*_cli(argv))
 
 
 def _solver_inputs():
@@ -286,15 +295,28 @@ def simdata_entries():
         yield f"simdata/draw/{name}", _digest(simdata.draw(spec, n, 61).values)
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as work:
-        groups = (cli_entries(work), solver_entries(), scale_entries(), highdim_entries(), shared_entries(),
-                  outlier_entries(), simdata_entries())
-        for group in groups:
-            for label, digest in group:
-                print(f"{digest}  {label}", flush=True)
+GROUPS = {
+    "cli": cli_entries,
+    "solver": solver_entries,
+    "scale": scale_entries,
+    "highdim": highdim_entries,
+    "shared": shared_entries,
+    "outlier": outlier_entries,
+    "simdata": simdata_entries,
+}
+
+
+def main(argv) -> int:
+    names = argv or list(GROUPS)
+    unknown = [name for name in names if name not in GROUPS]
+    if unknown:
+        print(f"unknown group(s) {', '.join(unknown)}; choose from {', '.join(GROUPS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        for label, digest in GROUPS[name]():
+            print(f"{digest}  {label}", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
