@@ -46,16 +46,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, *, data=False, seed=False, boot=False, level=False,
-            alpha=False, method=None, null=False, blocks=False, config=False, scenario=False):
+    def add(name, help_text, *, data=False, seed=False, boot=False, level=False, alpha=None,
+            method=None, null=False, blocks=False, config=False, workers=False, formats=True):
         cmd = sub.add_parser(name, help=help_text)
         if data:
             cmd.add_argument("--in", dest="input", required=True, help="input CSV, one observation per row")
         cmd.add_argument("--out", help="write the result here instead of stdout")
         if level:
             cmd.add_argument("--level", type=float, default=0.9, help="simultaneous confidence level")
-        if alpha:
-            cmd.add_argument("--alpha", type=float, help="significance / nominal FDR level")
+        if alpha is not None:
+            cmd.add_argument("--alpha", type=float, default=alpha,
+                             help=f"significance / nominal FDR level (default {alpha})")
         if boot:
             cmd.add_argument("--boot", type=int, default=400, help="bootstrap replicates (default 400)")
         if seed:
@@ -68,25 +69,25 @@ def _build_parser() -> _Parser:
             cmd.add_argument("--null", default="zeros", help="'zeros' or a one-row CSV with the hypothesised center")
         if config:
             cmd.add_argument("--config", required=True, help="JSON experiment description")
-        cmd.add_argument(
-            "--workers", type=int, default=None if scenario else 1,
-            help="worker threads for bootstrap batches and replications (default "
-            + ("the scenario's 'workers' field" if scenario else "1")
-            + "; output never depends on it)",
-        )
-        cmd.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+        if workers:
+            cmd.add_argument("--workers", type=int, default=1,
+                             help="worker threads for bootstrap batches (default 1; output never depends on it)")
+        if formats:
+            cmd.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
         return cmd
 
     add("estimate", "fit the spatial median of a CSV sample", data=True)
     add("gmom", "geometric median-of-means of a CSV sample", data=True, seed=True, blocks=True)
     add("sci", "simultaneous confidence intervals", data=True, seed=True, boot=True, level=True,
-        method=_BOOT_METHODS)
-    add("test", "global test of a hypothesised center", data=True, seed=True, boot=True, alpha=True,
-        method=_TEST_METHODS, null=True)
-    add("fdr", "coordinate-wise screening with FDR control", data=True, alpha=True, null=True)
-    add("are", "bootstrap relative-efficiency estimate", data=True, seed=True, boot=True)
-    add("generate", "draw a synthetic sample to CSV", seed=True, config=True)
-    simulate = add("simulate", "run a Monte Carlo experiment", config=True, scenario=True)
+        method=_BOOT_METHODS, workers=True)
+    add("test", "global test of a hypothesised center", data=True, seed=True, boot=True, alpha=0.05,
+        method=_TEST_METHODS, null=True, workers=True)
+    add("fdr", "coordinate-wise screening with FDR control", data=True, alpha=0.1, null=True)
+    add("are", "bootstrap relative-efficiency estimate", data=True, seed=True, boot=True, workers=True)
+    add("generate", "draw a synthetic sample to CSV", seed=True, config=True, formats=False)
+    simulate = add("simulate", "run a Monte Carlo experiment", config=True)
+    simulate.add_argument("--workers", type=int, help="worker threads for replications (default the "
+                          "scenario's 'workers' field; output never depends on it)")
     simulate.add_argument("--full-scale", action="store_true",
                           help="override desk-scale defaults with 2500 replications and B=400")
     simulate.add_argument("--timings", action="store_true",
@@ -184,10 +185,9 @@ def _cmd_sci(args) -> str:
 def _cmd_test(args) -> str:
     sample = read_csv(args.input)
     theta0 = _load_theta0(args, sample.p)
-    alpha = args.alpha if args.alpha is not None else 0.05
     if args.method in _BOOT_METHODS:
         _require_seed(args)
-    result = _global_test(args.method, sample, theta0, alpha, args.boot, args.seed, workers=args.workers)
+    result = _global_test(args.method, sample, theta0, args.alpha, args.boot, args.seed, workers=args.workers)
     row = [result.method, result.statistic, result.critical_value, result.p_value, int(result.reject)]
     return _render(args, result.to_json(), [row], ["method", "statistic", "critical_value", "p_value", "reject"])
 
@@ -195,8 +195,7 @@ def _cmd_test(args) -> str:
 def _cmd_fdr(args) -> str:
     sample = read_csv(args.input)
     theta0 = _load_theta0(args, sample.p)
-    alpha = args.alpha if args.alpha is not None else 0.1
-    result = fdr_screen(sample, theta0, alpha)
+    result = fdr_screen(sample, theta0, args.alpha)
     rejected = set(int(j) for j in result.rejected)
     rows = [
         [j, float(result.t_stats[j]), float(result.p_values[j]), int(j in rejected)]
@@ -258,7 +257,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers is not None and args.workers < 1:
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
             raise _UsageError("--workers must be >= 1")
         text = _COMMANDS[args.subcommand](args)
     except _UsageError as err:

@@ -39,12 +39,13 @@ update rule; vertex checks and the Newton finish always work on points of
 R^p.  A bootstrap asks only for each row's max|beta|, which the span
 representation takes slab by slab from the mapping to R^p.
 
-A solve's batch-sized arrays (sign slabs, iterates, residuals, products and
-the gathers of the running slabs) are views of the thread's workspace
-(``_Workspace``): one flat buffer per role, grown to the largest solve seen
-on that thread and kept for the next, so back-to-back solves reuse the same
-pages instead of freeing them and faulting them back in.  Results are
-copied out of it; a pool thread's workspace goes with the thread.
+A solve's batch-sized arrays are views of the thread's workspace
+(``_Workspace``): one flat buffer per role (sign slabs, iterates, products,
+a sweep's residual, the gathers of the running slabs), grown to the largest
+solve seen on that thread and kept for the next, so back-to-back solves
+reuse the same pages instead of freeing them and faulting them back in.
+Results are copied out of it; a pool thread's workspace goes with the
+thread.
 """
 
 import math
@@ -402,10 +403,11 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
     never run fill the other slots (:func:`_slabs`).  Every product of a
     sweep runs on the slabs that still hold an active row, so a row's bits
     depend on its own signs and slot alone: a replicate solved alone (at its
-    ``first``) equals its row in any batch.  While every slab is running the
-    rest of the sweep works on views of the batch's rows; after that it
-    gathers the running slabs, steps all their rows and keeps the steps of
-    the active ones.
+    ``first``) equals its row in any batch.  While every batch row is active
+    the sweep steps the whole layout and keeps the batch rows' steps; the
+    padding rows stay at the origin, so their distances are the points'
+    norms, finite and never kept.  After that it gathers the running slabs,
+    steps all their rows and keeps the steps of the active ones.
 
     The batch-sized arrays are views of the thread's workspace; what the
     solve returns is its own, so a result outlives later solves.  Having no
@@ -431,12 +433,6 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
     polished = {}  # row -> center in R^p, set by the Newton finish
 
     batch = slice(lead, lead + m)
-    batch_rows = np.arange(lead, lead + m)
-    # residuals laid out for the norm's products; padding rows stay 0, so
-    # those products never see another solve's values
-    padded = _WORKSPACE.take("padded", (total, width))
-    padded[:lead] = 0.0
-    padded[lead + m :] = 0.0
 
     def stacked(laid):
         return laid.reshape(-1, rows, laid.shape[1])
@@ -456,26 +452,19 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
                     polished[row], grad_norm[row] = out
                     iterations[row] = t
                     active[row] = False
-        live = active[batch]
-        every = live.all()
-        if not every:
+        every = active[batch].all()
+        if every:
+            # the whole layout; padding rows have zero signs and are never kept
+            za, ba, live = signs, beta, active
+        else:
+            # the rows of the running slabs, padding and stopped rows included
             running = active.reshape(-1, rows).any(axis=1)
             if not running.any():
                 break
-        full = every or running.all()
-        if full:
-            # products on every slab, everything else on the batch's rows
-            idx, own, laid, resid = batch_rows, batch, beta, padded
-            za, ba = signs[batch], beta[batch]
-        else:
-            # the rows of the running slabs, padding and stopped rows included
-            idx, own = np.nonzero(np.repeat(running, rows))[0], slice(None)
-            za, laid = gather("running_signs", signs, idx), gather("running_beta", beta, idx)
-            # every row of resid is written before it is read
-            ba, resid, live = laid, _WORKSPACE.take("running_resid", laid.shape), active[idx]
-        prod, sq = coords.project(stacked(laid), out=_WORKSPACE.take("project", (laid.shape[0] // rows, rows, n)))
-        buf = prod.reshape(-1, n)  # zero rows project to 0, so padding rows stay 0
-        prod, sq = buf[own], sq.reshape(-1)[own]
+            idx = np.nonzero(np.repeat(running, rows))[0]
+            za, ba, live = gather("running_signs", signs, idx), gather("running_beta", beta, idx), active[idx]
+        prod, sq = coords.project(stacked(ba), out=_WORKSPACE.take("project", (ba.shape[0] // rows, rows, n)))
+        prod, sq = prod.reshape(-1, n), sq.reshape(-1)
         # dist = sqrt(max(sq_norms - 2 z prod + sq, 0)), built in prod's buffer
         # (2 prod) z is exact for z = +-1, so it equals (2 z) prod
         dist = np.multiply(prod, 2.0, out=prod)
@@ -501,17 +490,18 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
         coincide = dist <= eps_anchor if (row_min <= eps_anchor).any() else None
         with np.errstate(divide="ignore"):
             weights = np.divide(1.0, dist, out=dist)
-        eta = np.zeros(idx.size)
+        eta = np.zeros(ba.shape[0])
         if coincide is not None:
             weights[coincide] = 0.0
             eta = coincide.sum(axis=1).astype(np.float64)
         denom = weights.sum(axis=1)
         weights *= za
-        numer = coords.combine(stacked(buf), out=_WORKSPACE.take("combine", (buf.shape[0] // rows, rows, width)))
-        numer = numer.reshape(-1, width)[own]
-        np.multiply(ba, denom[:, None], out=resid[own])
-        np.subtract(numer, resid[own], out=resid[own])
-        resid_norm = coords.norm(stacked(resid)).reshape(-1)[own]
+        numer = coords.combine(stacked(weights), out=_WORKSPACE.take("combine", (ba.shape[0] // rows, rows, width)))
+        numer = numer.reshape(-1, width)
+        resid = _WORKSPACE.take("resid", ba.shape)
+        np.multiply(ba, denom[:, None], out=resid)
+        np.subtract(numer, resid, out=resid)
+        resid_norm = coords.norm(stacked(resid)).reshape(-1)
         # new - ba = resid / denom, so the step norm needs no third product
         with np.errstate(invalid="ignore"):  # 0/0 in rows whose every point coincides
             new = np.divide(numer, denom[:, None], out=numer)
@@ -529,15 +519,14 @@ def _solve_batch(coords, signs, config, first=0, peaks=False):
         done = (step < config.tol) & grad_ok
 
         if every:
-            ba[...] = new
+            beta[batch] = new[batch]
             iterations[batch] = t
-            grad_norm[batch] = resid_norm
-            active[batch] = ~done
+            grad_norm[batch] = resid_norm[batch]
+            active[batch] = ~done[batch]
         else:
             # rows that stopped before this sweep keep their centers
             np.copyto(ba, new, where=live[:, None])
-            if not full:
-                beta[idx] = ba
+            beta[idx] = ba
             stepped = idx[live]
             iterations[stepped] = t
             grad_norm[stepped] = resid_norm[live]

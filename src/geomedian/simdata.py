@@ -143,12 +143,14 @@ _JSON_TYPES = {
     **dict.fromkeys(("levels", "methods"), (list, tuple)),
     **dict.fromkeys(("kappa_grid", "p_grid", "n_grid"), (list, tuple, type(None))),
 }
+# the JSON type of every entry of a list field
+_JSON_ENTRY_TYPES = {"levels": (int, float), "kappa_grid": (int, float), "n_grid": int, "p_grid": int, "methods": str}
 
 
 def _check_json_fields(obj: dict, what: str, known, required=()) -> None:
     """Raise InvalidScenario unless ``obj`` is a JSON object that has every
-    ``required`` field and whose fields are all ``known`` and have a JSON type
-    that :data:`_JSON_TYPES` allows; the error names the field at fault."""
+    ``required`` field and whose fields are all ``known`` and of the JSON types
+    :data:`_JSON_TYPES` and :data:`_JSON_ENTRY_TYPES` allow; the error names the field at fault."""
     if not isinstance(obj, dict):
         raise InvalidScenario(f"{what} JSON must be an object, got {obj!r}")
     for key in required:
@@ -160,6 +162,8 @@ def _check_json_fields(obj: dict, what: str, known, required=()) -> None:
     for key, value in obj.items():
         if not isinstance(value, _JSON_TYPES.get(key, object)):
             raise InvalidScenario(f"{what} field {key!r} has the wrong JSON type: {value!r}")
+        if isinstance(value, list) and not all(isinstance(v, _JSON_ENTRY_TYPES.get(key, object)) for v in value):
+            raise InvalidScenario(f"{what} field {key!r} has an entry of the wrong JSON type: {value!r}")
 
 
 def theta_vector(pattern: ThetaPattern, p: int, n: int) -> np.ndarray:

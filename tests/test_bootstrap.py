@@ -419,17 +419,29 @@ def test_replicates_do_not_depend_on_B(name, workers):
 
 @pytest.mark.parametrize("coords", [_PointCoords, _SpanCoords], ids=["point", "span"])
 def test_replicate_solved_alone_equals_its_batch_row(coords):
-    values, center = _prefix_inputs()["span_duplicated_rows"]
-    sample, fit = _fresh(values, center)
-    solver = coords(sample.values - fit.theta_hat)
-    signs = rademacher(5, NS_BOOT_MEDIAN, 0, 96, sample.n)
-    batch, iters, _ = _solve_batch(solver, signs, _REPLICATE_CONFIG)
-    assert iters.max() > 2 * iters.min()  # rows stop at different sweeps
-    for b in (0, 1, 31, 32, 50, 95):
-        alone, _, _ = _solve_batch(solver, signs[b : b + 1], _REPLICATE_CONFIG, first=b)
-        assert np.array_equal(alone[0], batch[b])
-    tail, _, _ = _solve_batch(solver, signs[37:], _REPLICATE_CONFIG, first=37)
-    assert np.array_equal(tail, batch[37:])
+    # the batch starts 5 rows into its first 16-row slab and ends 6 rows
+    # short of its last; while every row runs, the sweep also steps the
+    # zero-sign padding rows (on the duplicated-rows inputs they sit on the
+    # exact-zero residual rows, on constant rows every point does) but never
+    # keeps their steps, so they stay +0.0 and no row sees them
+    prefix = _prefix_inputs()
+    inputs = {name: prefix[name] for name in ("span_duplicated_rows", "point_duplicated_rows")}
+    inputs["constant_rows"] = (np.tile([1.5, -2.0, 0.25], (7, 1)), None)
+    for name, (values, center) in inputs.items():
+        sample, fit = _fresh(values, center)
+        solver = coords(sample.values - fit.theta_hat)
+        signs = rademacher(5, NS_BOOT_MEDIAN, 5, 85, sample.n)
+        batch, iters, _ = _solve_batch(solver, signs, _REPLICATE_CONFIG, first=5)
+        beta = estimator._WORKSPACE.buffers["beta"][: 96 * solver.width].reshape(96, -1)
+        padding = np.vstack([beta[:5], beta[90:]])
+        assert padding.tobytes() == bytes(padding.nbytes), name
+        if name != "constant_rows":
+            assert iters.max() > 2 * iters.min(), name  # rows stop at different sweeps
+        for b in range(85):
+            alone, _, _ = _solve_batch(solver, signs[b : b + 1], _REPLICATE_CONFIG, first=5 + b)
+            assert np.array_equal(alone[0], batch[b]), (name, b)
+        tail, _, _ = _solve_batch(solver, signs[32:], _REPLICATE_CONFIG, first=37)
+        assert np.array_equal(tail, batch[32:]), name
 
 
 @pytest.mark.parametrize("name", ["span_ar1_40x300", "point_t3_100x100"])

@@ -130,6 +130,14 @@ def test_unknown_flags_and_bad_usage_exit_one(tmp_path, capsys):
     assert main(["estimate"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["sci", "--in", data, "--seed", "1", "--format", "yaml"]) == 1
+    capsys.readouterr()
+    # a subcommand takes only the options it reads: --workers only where a
+    # bootstrap or replications run, and generate always writes CSV
+    for argv in (["estimate", "--in", data, "--workers", "2"], ["fdr", "--in", data, "--workers", "2"],
+                 ["gmom", "--in", data, "--blocks", "2", "--seed", "1", "--workers", "2"],
+                 ["generate", "--config", str(tmp_path / "config.json"), "--format", "json"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: " + argv[-2])
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -354,10 +362,16 @@ def test_simulate_error_reports_its_own_type(tmp_path, capsys):
         ("generate", "p", 2.5),
         ("generate", "seed", "1"),
         ("generate", "df", "3"),
+        ("simulate", "levels", ["a"]),
+        ("simulate", "kappa_grid", ["x"]),
+        ("simulate", "n_grid", [4.5]),
+        ("simulate", "p_grid", [4.5]),
+        ("simulate", "methods", ["median", 3]),
     ],
     ids=["theta_null", "replications_string", "levels_number", "generate_theta_number",
          "generate_kappa_null", "generate_n_null", "generate_rho_null", "generate_n_string",
-         "generate_p_float", "generate_seed_string", "generate_df_string"],
+         "generate_p_float", "generate_seed_string", "generate_df_string", "levels_entry_string",
+         "kappa_grid_entry_string", "n_grid_entry_float", "p_grid_entry_float", "methods_entry_number"],
 )
 def test_mistyped_json_field_is_a_typed_error(tmp_path, capsys, command, field, value):
     if command == "simulate":

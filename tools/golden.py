@@ -28,8 +28,9 @@ The corpus:
   a changed error is a changed digest.
 - ``solver/...``: fits, gmom, the statistics of both bootstraps and direct
   batched solves (``_solve_batch`` from the origin, in R^p and in span
-  coordinates, which hash the replicate centres) on small inputs that reach
-  every solver rescue.
+  coordinates, which hash the replicate centres; the ``_lead5`` ones on
+  16-row slabs with zero rows before and after the batch) on small inputs
+  that reach every solver rescue.
 - ``scale/...``: a fit and intervals on one sample scaled and shifted to
   extreme magnitudes.
 - ``highdim/...``: a global test then intervals on one sample at n = 100,
@@ -63,6 +64,8 @@ from geomedian.data import ar1_shape, validate_sample  # noqa: E402
 from geomedian.errors import GeomedianError  # noqa: E402
 
 WORKERS = "2"
+# the subcommands that take --workers (the others have no bootstrap to split)
+TAKES_WORKERS = {"sci", "test", "are", "simulate"}
 
 CLI_INPUTS = {
     "t3_100x1000": {"model": "student_t", "df": 3.0, "n": 100, "p": 1000, "seed": 11},
@@ -150,7 +153,8 @@ def cli_entries():
             with open(data_path, "rb") as fh:
                 yield f"cli/generate/{name}", _digest(code, out, err, fh.read())
             for label, args in CLI_COMMANDS.items():
-                yield f"cli/{label}/{name}", _digest(*_cli(args + ["--in", data_path, "--workers", WORKERS]))
+                workers = ["--workers", WORKERS] if args[0] in TAKES_WORKERS else []
+                yield f"cli/{label}/{name}", _digest(*_cli(args + ["--in", data_path] + workers))
         for name, scenario in SCENARIOS.items():
             config_path = os.path.join(work, f"scenario_{name}.json")
             with open(config_path, "w", encoding="utf-8") as fh:
@@ -214,6 +218,9 @@ def _band_parts(band):
 
 def solver_entries():
     cfg = estimator.SolverConfig()
+    # slabs of the bootstrap's width: 37 rows from replicate 5 leave 5 zero
+    # rows before them and 6 after
+    slab_cfg = estimator.SolverConfig(product_rows=bootstrap._PRODUCT_ROWS)
     for name, x in _solver_inputs().items():
         sample = validate_sample(x)
         n, p = x.shape
@@ -233,6 +240,10 @@ def solver_entries():
             estimator._PointCoords(x - fit.theta_hat), signs, cfg))
         yield f"solver/batch_span/{name}", _entry(lambda: estimator._solve_batch(
             estimator._SpanCoords(x - fit.theta_hat), signs, cfg))
+        yield f"solver/batch_point_lead5/{name}", _entry(lambda: estimator._solve_batch(
+            estimator._PointCoords(x - fit.theta_hat), signs[:37], slab_cfg, first=5))
+        yield f"solver/batch_span_lead5/{name}", _entry(lambda: estimator._solve_batch(
+            estimator._SpanCoords(x - fit.theta_hat), signs[:37], slab_cfg, first=5))
 
 
 def scale_entries():
